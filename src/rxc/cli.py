@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 for yes/success, 1 for a negative answer from a decision
-verb, 2 for usage or input errors.  All file formats are UTF-8 with LF
-newlines and full-line ``#`` comments; see the package README.
+verb, 2 for usage or input errors and any other failure.  All file
+formats are UTF-8 with LF newlines and full-line ``#`` comments; see the
+package README.
 """
 
 from __future__ import annotations
@@ -390,8 +391,8 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # every failure, not only bad input: a crash is not a "no"
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -60,11 +60,14 @@ class Nfa:
         self.accepting = frozenset(accepting)
         self.epsilon_edges = frozenset(epsilon_edges)
         self.labeled_edges = frozenset(labeled_edges)
+        if not 0 <= start < state_count:
+            raise ValueError(f"start state {start} out of range")
         for s, t in self.epsilon_edges:
-            assert 0 <= s < state_count and 0 <= t < state_count
+            if not (0 <= s < state_count and 0 <= t < state_count):
+                raise ValueError(f"epsilon edge {(s, t)} out of range")
         for s, a, t in self.labeled_edges:
-            assert 0 <= s < state_count and 0 <= t < state_count and 0 <= a < len(alphabet)
-        assert 0 <= start < state_count
+            if not (0 <= s < state_count and 0 <= t < state_count and 0 <= a < len(alphabet)):
+                raise ValueError(f"labelled edge {(s, a, t)} out of range")
         self._prepared = False
 
     # -- derived tables, built once on first use ----------------------
@@ -135,9 +138,21 @@ class Nfa:
         self._prepare()
         return bool(states & self._accept_mask)
 
-    def reach_in(self, steps: int) -> int:
-        """Mask of states with some accepting path of exactly ``steps`` symbols."""
+    def reach_in(self, steps: int | None) -> int:
+        """Mask of states with some accepting path of exactly ``steps``
+        symbols, or of any length when ``steps`` is None."""
         self._prepare()
+        if steps is None:
+            if self._reach_any is None:
+                alive = frontier = self._accept_mask
+                while frontier:
+                    grown = 0
+                    for t in _bits(frontier):
+                        grown |= self._rev_any[t]
+                    frontier = grown & ~alive
+                    alive |= grown
+                self._reach_any = alive
+            return self._reach_any
         layers = self._reach_layers
         while len(layers) <= steps:
             prev = layers[-1]
@@ -147,26 +162,10 @@ class Nfa:
             layers.append(nxt)
         return layers[steps]
 
-    def feasible(self, states: int, steps: int) -> bool:
-        return bool(states & self.reach_in(steps))
-
-    def alive_mask(self) -> int:
-        """Mask of states from which acceptance is reachable at all."""
-        self._prepare()
-        if self._reach_any is None:
-            alive = self._accept_mask
-            frontier = alive
-            while frontier:
-                grown = 0
-                for t in _bits(frontier):
-                    grown |= self._rev_any[t]
-                frontier = grown & ~alive
-                alive |= grown
-            self._reach_any = alive
-        return self._reach_any
-
-    def alive(self, states: int) -> bool:
-        return bool(states & self.alive_mask())
+    def feasible(self, states: int, steps: int | None) -> bool:
+        """Can some state in ``states`` accept after exactly ``steps``
+        more symbols (after any number when ``steps`` is None)?"""
+        return states != 0 and bool(states & self.reach_in(steps))
 
 
 @dataclass(frozen=True)
@@ -196,12 +195,9 @@ class ProductAuto:
     def accepts(self, states) -> bool:
         return all(c.accepts(s) for c, s in zip(self.children, states))
 
-    def feasible(self, states, steps: int) -> bool:
+    def feasible(self, states, steps: int | None) -> bool:
         # Sound overapproximation: each child needs its own witness word.
         return all(c.feasible(s, steps) for c, s in zip(self.children, states))
-
-    def alive(self, states) -> bool:
-        return all(c.alive(s) for c, s in zip(self.children, states))
 
 
 @dataclass(frozen=True)
@@ -226,11 +222,8 @@ class UnionAuto:
     def accepts(self, states) -> bool:
         return any(c.accepts(s) for c, s in zip(self.children, states))
 
-    def feasible(self, states, steps: int) -> bool:
+    def feasible(self, states, steps: int | None) -> bool:
         return any(c.feasible(s, steps) for c, s in zip(self.children, states))
-
-    def alive(self, states) -> bool:
-        return any(c.alive(s) for c, s in zip(self.children, states))
 
 
 Automaton = TUnion[Nfa, ProductAuto, UnionAuto]
@@ -502,7 +495,7 @@ def _product_nonempty(children: Sequence[Nfa], allowed: Iterable[int] | None) ->
 def is_empty(auto: Automaton) -> bool:
     """True iff the automaton accepts no word at all."""
     if isinstance(auto, Nfa):
-        return not auto.alive(auto.start_set())
+        return not auto.feasible(auto.start_set(), None)
     if isinstance(auto, UnionAuto):
         return all(is_empty(c) for c in auto.children)
     return not _product_nonempty(_joint_states(auto), None)
@@ -547,7 +540,7 @@ def enumerate_language(auto: Automaton, max_len: int) -> list[str]:
         def walk(states, remaining: int) -> None:
             for sym in alphabet:
                 nxt = auto.step(states, sym.id)
-                if auto.is_dead(nxt) or not auto.feasible(nxt, remaining - 1):
+                if not auto.feasible(nxt, remaining - 1):
                     continue
                 path.append(sym.token)
                 if remaining == 1:

@@ -140,6 +140,7 @@ def brute_force_sat_count(formula: CnfFormula) -> int:
 
 def parse_dimacs(text: str) -> CnfFormula:
     var_count = 0
+    clause_count = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
     for raw in text.splitlines():
@@ -151,6 +152,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad DIMACS header {line!r}")
             var_count = int(parts[2])
+            clause_count = int(parts[3])
             continue
         for tok in line.split():
             v = int(tok)
@@ -162,6 +164,8 @@ def parse_dimacs(text: str) -> CnfFormula:
                 pending.append(v)
     if pending:
         clauses.append(tuple(pending))
+    if clause_count is not None and clause_count != len(clauses):
+        raise ValueError(f"DIMACS header declares {clause_count} clauses, found {len(clauses)}")
     if var_count == 0:
         var_count = max((abs(l) for c in clauses for l in c), default=0)
     return CnfFormula(var_count, tuple(clauses))

@@ -1,23 +1,24 @@
 """Exact crossword solving over fixed dimensions, plus two decision tests.
 
-The search fills cells in row-major order.  A symbol is tried only if
-both the row's and the column's automaton state sets stay nonempty and
-can still reach acceptance within the exact number of cells remaining
-on their line; this makes the output order deterministic (grids sorted
-by their row-major id sequence) and prunes hard.
+One iterative search, ``_fill``, fills cells in row-major order.  A
+symbol is tried only if both the row's and the column's automaton state
+sets can still reach acceptance within the exact number of cells
+remaining on their line; this makes the output order deterministic
+(grids sorted by their row-major id sequence) and prunes hard.
 
 ``decide_unbounded_width`` answers existence when the number of rows is
 fixed but the number of columns is not: a breadth-first search over
-profiles (the tuple of per-row state sets), guessing one full column at
-a time, with a visited set guaranteeing termination.
+profiles (the tuple of per-row state sets), filling one column at a
+time with the same search, its rows open-ended (``feasible(states,
+None)``), with a visited set guaranteeing termination.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .grids import Grid
 from .puzzle import Puzzle
@@ -60,93 +61,88 @@ def verify(puzzle: Puzzle, grid: Grid) -> bool:
     return True
 
 
-def _search(puzzle: Puzzle, m: int, n: int, emit: Callable[[Grid], bool]) -> None:
-    """Run the row-major search; ``emit`` returns False to stop early."""
+def _fill(row_autos: Sequence[Automaton], col_autos: Sequence[Automaton],
+          row_starts: Sequence, col_starts: Sequence,
+          open_rows: bool = False) -> Iterator[tuple[list[int], list]]:
+    """Yield every filling of an m x n block, in row-major lexicographic order.
+
+    Row i starts in ``row_starts[i]`` and column j in ``col_starts[j]``.
+    A symbol is placed only if both its lines can still accept in exactly
+    the cells left on them; with ``open_rows`` a row need only be able to
+    accept at all.  Each cell keeps the state sets reached after it, so
+    backing up needs no undo.  Yields ``(cells, row_sets)``, row-major;
+    both lists are reused, so read them before resuming.
+    """
+    m, n = len(row_autos), len(col_autos)
+    size = m * n
+    nsyms = len(row_autos[0].alphabet)
+    cells = [0] * size
+    row_sets: list = [None] * size
+    col_sets: list = [None] * size
+    k = first = 0
+    while True:
+        i, j = divmod(k, n)
+        row_auto, col_auto = row_autos[i], col_autos[j]
+        row_in = row_sets[k - 1] if j else row_starts[i]
+        col_in = col_sets[k - n] if i else col_starts[j]
+        row_left = None if open_rows else n - j - 1
+        col_left = m - i - 1
+        for sym in range(first, nsyms):
+            rs = row_auto.step(row_in, sym)
+            if not row_auto.feasible(rs, row_left):
+                continue
+            cs = col_auto.step(col_in, sym)
+            if col_auto.feasible(cs, col_left):
+                break
+        else:
+            if k == 0:
+                return
+            k -= 1
+            first = cells[k] + 1
+            continue
+        cells[k], row_sets[k], col_sets[k] = sym, rs, cs
+        if k + 1 < size:
+            k, first = k + 1, 0
+        else:
+            yield cells, row_sets
+            first = sym + 1
+
+
+def _fillings(puzzle: Puzzle, m: int, n: int) -> Iterator[tuple[list[int], list]]:
     if m < 1 or n < 1:
         raise DimensionError("dimensions must be positive")
-    alphabet = puzzle.alphabet
     cache: dict[int, Automaton] = {}
     row_autos = _compiled(puzzle.row_exprs(m), cache)
     col_autos = _compiled(puzzle.col_exprs(n), cache)
-    sym_ids = range(len(alphabet))
-    cells = [[0] * n for _ in range(m)]
-    col_sets = [a.start_set() for a in col_autos]
-    stop = False
+    return _fill(row_autos, col_autos,
+                 [a.start_set() for a in row_autos], [a.start_set() for a in col_autos])
 
-    def place(i: int, j: int, row_set) -> None:
-        nonlocal stop
-        row_auto = row_autos[i]
-        col_auto = col_autos[j]
-        row_left = n - j - 1
-        col_left = m - i - 1
-        saved = col_sets[j]
-        for sym in sym_ids:
-            rs = row_auto.step(row_set, sym)
-            if row_auto.is_dead(rs) or not row_auto.feasible(rs, row_left):
-                continue
-            cs = col_auto.step(saved, sym)
-            if col_auto.is_dead(cs) or not col_auto.feasible(cs, col_left):
-                continue
-            cells[i][j] = sym
-            col_sets[j] = cs
-            if j + 1 < n:
-                place(i, j + 1, rs)
-            elif i + 1 < m:
-                place(i + 1, 0, row_autos[i + 1].start_set())
-            else:
-                grid = Grid(alphabet, tuple(tuple(r) for r in cells))
-                if not emit(grid):
-                    stop = True
-            if stop:
-                break
-        col_sets[j] = saved
 
-    # one recursion frame per cell
-    needed = m * n + 500
-    old_limit = sys.getrecursionlimit()
-    if old_limit < needed:
-        sys.setrecursionlimit(needed)
-    try:
-        place(0, 0, row_autos[0].start_set())
-    finally:
-        if old_limit < needed:
-            sys.setrecursionlimit(old_limit)
+def _grids(puzzle: Puzzle, m: int, n: int) -> Iterator[Grid]:
+    fillings = _fillings(puzzle, m, n)
+    alphabet = puzzle.alphabet
+    return (Grid(alphabet, tuple(tuple(cells[i:i + n]) for i in range(0, m * n, n)))
+            for cells, _ in fillings)
 
 
 def enumerate_grids(puzzle: Puzzle, m: int, n: int, cap: int | None = None) -> list[Grid]:
     """All solutions in row-major lexicographic order, truncated at ``cap``."""
-    out: list[Grid] = []
-
-    def emit(g: Grid) -> bool:
-        out.append(g)
-        return cap is None or len(out) < cap
-
-    _search(puzzle, m, n, emit)
-    return out
+    return list(islice(_grids(puzzle, m, n), cap))
 
 
 def solve(puzzle: Puzzle, m: int, n: int) -> Grid | None:
     """The lexicographically least solution, or None."""
-    got = enumerate_grids(puzzle, m, n, cap=1)
-    return got[0] if got else None
+    return next(_grids(puzzle, m, n), None)
 
 
 def count_grids(puzzle: Puzzle, m: int, n: int) -> int:
     """Exact number of solutions."""
-    total = 0
-
-    def emit(_g: Grid) -> bool:
-        nonlocal total
-        total += 1
-        return True
-
-    _search(puzzle, m, n, emit)
-    return total
+    return sum(1 for _ in _fillings(puzzle, m, n))
 
 
 def is_unique(puzzle: Puzzle, m: int, n: int) -> bool:
     """True iff exactly one solution exists."""
-    return len(enumerate_grids(puzzle, m, n, cap=2)) == 1
+    return len(list(islice(_fillings(puzzle, m, n), 2))) == 1
 
 
 def is_plural(row_expr: Regex, col_expr: Regex) -> bool:
@@ -208,33 +204,14 @@ def decide_unbounded_width(rows: Sequence[Regex], col_expr: Regex) -> WidthResul
         cells = tuple(tuple(col[i] for col in columns) for i in range(m))
         return Grid(alphabet, cells)
 
-    column = [0] * m
-
+    col_start = [col_auto.start_set()]
     while queue:
         profile, depth = queue.popleft()
-        found: list[tuple[tuple, tuple[int, ...], bool]] = []
-
-        def extend(level: int, col_set, sets: tuple) -> None:
-            for sym in range(len(alphabet)):
-                cs = col_auto.step(col_set, sym)
-                if col_auto.is_dead(cs) or not col_auto.feasible(cs, m - level - 1):
-                    continue
-                rs = row_autos[level].step(sets[level], sym)
-                if row_autos[level].is_dead(rs) or not row_autos[level].alive(rs):
-                    continue
-                column[level] = sym
-                nxt = sets[:level] + (rs,) + sets[level + 1:]
-                if level + 1 == m:
-                    accepted = all(a.accepts(s) for a, s in zip(row_autos, nxt))
-                    found.append((nxt, tuple(column), accepted))
-                else:
-                    extend(level + 1, cs, nxt)
-
-        extend(0, col_auto.start_set(), profile)
-        for nxt, col, accepted in found:
-            if accepted:
-                return WidthResult(True, depth + 1, rebuild(profile, col))
+        for column, ends in _fill(row_autos, [col_auto], profile, col_start, open_rows=True):
+            nxt = tuple(ends)
+            if all(a.accepts(s) for a, s in zip(row_autos, nxt)):
+                return WidthResult(True, depth + 1, rebuild(profile, tuple(column)))
             if nxt not in parents:
-                parents[nxt] = (profile, col)
+                parents[nxt] = (profile, tuple(column))
                 queue.append((nxt, depth + 1))
     return WidthResult(False)

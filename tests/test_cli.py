@@ -67,6 +67,12 @@ def test_usage_errors(tmp_path, puzzle_file):
     assert run(["solve", puzzle_file]) == 2            # missing dimensions
     assert run(["solve", str(tmp_path / "nope.rxc"), "-m", "1", "-n", "1"]) == 2
     assert run(["bogus-verb"]) == 2
+    deep = tmp_path / "deep.rxc"                       # a crash is not a "no"
+    deep.write_text("alphabet = 0\nR* = " + "(" * 3000 + "0" + ")" * 3000 + "\nC* = 0\n")
+    assert run(["solve", str(deep), "-m", "1", "-n", "1"]) == 2
+    cnf = tmp_path / "short.cnf"                       # header promises 5 clauses
+    cnf.write_text("p cnf 2 5\n1 2 0\n")
+    assert run(["sat", "count", str(cnf)]) == 2
 
 
 def test_tm_verbs(tmp_path, capsys):

@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from rxc.nfa import (
+    Nfa,
     compile_regex,
     enumerate_language,
     is_empty,
@@ -19,6 +22,11 @@ def test_matches_examples():
     ab = Alphabet(("a", "b"))
     assert matches(compile_regex(parse("a*b*", ab)), "abb")
     assert not matches(compile_regex(parse("0*&1*", AB)), "01")
+
+
+def test_nfa_rejects_out_of_range_start():
+    with pytest.raises(ValueError):
+        Nfa(AB, 2, 2, [1], [], [(0, 0, 1)])
 
 
 def test_compile_union_small():

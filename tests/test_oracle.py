@@ -61,6 +61,8 @@ def test_dimacs_roundtrip():
     assert parse_dimacs(dump_dimacs(f)) == f
     text = "c a comment\np cnf 2 2\n1 -2 0\n2 0\n"
     assert parse_dimacs(text) == formula(2, (1, -2), (2,))
+    with pytest.raises(ValueError):
+        parse_dimacs("p cnf 2 5\n1 2 0\n")
 
 
 def test_graph_parse():

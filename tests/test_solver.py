@@ -1,13 +1,14 @@
 """Grid solver: verification, enumeration, counting, plurality, width."""
 
 import random
+import sys
 
 import pytest
 
 from rxc.grids import Grid
 from rxc.oracle import brute_force_crosswords
 from rxc.puzzle import Puzzle, uniform_puzzle
-from rxc.rex import is_positive, parse, regex_matches
+from rxc.rex import Alphabet, is_positive, parse, regex_matches
 from rxc.solver import (
     DimensionError,
     count_grids,
@@ -43,6 +44,18 @@ def test_solve_forced_and_least():
     assert solve(p2, 2, 2).cells == ((0, 1), (1, 0))
     p3 = uniform_puzzle(parse("00", AB), parse("00", AB))
     assert solve(p3, 1, 1) is None
+
+
+def test_large_grid_leaves_recursion_limit_alone(monkeypatch):
+    # 1,600 cells, more than the default recursion limit of 1,000
+    def refuse(_limit):
+        raise AssertionError("the solver changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    zeros = parse("0*", Alphabet(("0",)))
+    p = uniform_puzzle(zeros, zeros)
+    assert solve(p, 40, 40).cells == ((0,) * 40,) * 40
+    assert count_grids(p, 40, 40) == 1
 
 
 def test_enumerate_examples():
