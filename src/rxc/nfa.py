@@ -10,6 +10,10 @@ explicit reachable-state product is built and embedded.
 State sets are integer bitmasks for flat automata and tuples of child
 sets for the implicit composites, and they are always epsilon-closed.
 An empty set signals a dead prefix.
+
+``ViableSymbols`` tabulates, per state set and number of symbols left,
+which symbols keep a line alive; the grid search and
+``enumerate_language`` read their candidates from it.
 """
 
 from __future__ import annotations
@@ -227,6 +231,46 @@ class UnionAuto:
 
 
 Automaton = TUnion[Nfa, ProductAuto, UnionAuto]
+
+
+class ViableSymbols:
+    """Which symbols keep a line alive, per (state set, symbols left).
+
+    The entry for ``(states, after)`` holds, as a bitmask over symbol
+    ids, the symbols whose successor ``auto.step(states, sym)`` can still
+    accept after exactly ``after`` more symbols (after any number when
+    ``after`` is None), and the successor of every symbol stepped so far.
+    This is the forward support of Pesant's REGULAR constraint.  Entries
+    fill lazily: a lookup steps only the symbols of ``among`` not yet
+    stepped under that key, so each (key, symbol) pair is stepped once.
+    A table serves one search and is dropped with it.
+    """
+
+    __slots__ = ("auto", "_nsyms", "_entries")
+
+    def __init__(self, auto: Automaton):
+        self.auto = auto
+        self._nsyms = len(auto.alphabet)
+        self._entries: dict[tuple, list] = {}
+
+    def get(self, states, after: int | None, among: int) -> tuple[int, list]:
+        """The viable symbols among ``among``, and a list indexed by
+        symbol id holding their successor sets."""
+        key = (states, after)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = [0, 0, [None] * self._nsyms]
+        stepped, viable, succ = entry
+        todo = among & ~stepped
+        if todo:
+            auto = self.auto
+            for sym in _bits(todo):
+                nxt = succ[sym] = auto.step(states, sym)
+                if auto.feasible(nxt, after):
+                    viable |= 1 << sym
+            entry[0] = stepped | todo
+            entry[1] = viable
+        return viable & among, succ
 
 
 # --- compilation -------------------------------------------------------------
@@ -523,32 +567,37 @@ def is_empty_restricted(auto: Automaton, allowed_ids: Iterable[int]) -> bool:
 def enumerate_language(auto: Automaton, max_len: int) -> list[str]:
     """All accepted words up to ``max_len``, shortest first, then by symbol id.
 
-    Words are returned as concatenated tokens.
+    Words are returned as concatenated tokens.  Each length is walked
+    depth first on an explicit stack, one viable-symbol mask per
+    position, so long words need no recursion.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    alphabet = auto.alphabet
-    out: list[str] = []
+    tokens = auto.alphabet.tokens
+    every = (1 << len(tokens)) - 1
+    table = ViableSymbols(auto)
     start = auto.start_set()
-    for target in range(max_len + 1):
-        if target == 0:
-            if auto.accepts(start):
-                out.append("")
-            continue
-        path: list[str] = []
-
-        def walk(states, remaining: int) -> None:
-            for sym in alphabet:
-                nxt = auto.step(states, sym.id)
-                if not auto.feasible(nxt, remaining - 1):
-                    continue
-                path.append(sym.token)
-                if remaining == 1:
-                    if auto.accepts(nxt):
-                        out.append("".join(path))
-                else:
-                    walk(nxt, remaining - 1)
-                path.pop()
-
-        walk(start, target)
+    out = [""] if auto.accepts(start) else []
+    for target in range(1, max_len + 1):
+        word = [0] * target
+        todo = [0] * target
+        succs: list = [None] * target
+        k = 0
+        todo[0], succs[0] = table.get(start, target - 1, every)
+        while True:
+            mask = todo[k]
+            if not mask:
+                if k == 0:
+                    break
+                k -= 1
+                continue
+            low = mask & -mask
+            sym = low.bit_length() - 1
+            todo[k] = mask ^ low
+            word[k] = sym
+            if k + 1 < target:
+                k += 1
+                todo[k], succs[k] = table.get(succs[k - 1][sym], target - k - 1, every)
+            else:
+                out.append("".join(tokens[s] for s in word))
     return out

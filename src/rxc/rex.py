@@ -546,77 +546,82 @@ class _Lexer:
         return token, start
 
 
+MAX_NESTING = 200
+
+
 def parse(text: str, alphabet: Alphabet) -> Regex:
-    """Parse regex text over the given alphabet."""
+    """Parse regex text over the given alphabet.
+
+    The parser keeps one frame per open parenthesis on an explicit
+    stack.  More than ``MAX_NESTING`` open parentheses at once raise
+    ``RegexSyntaxError``, because the walks over the tree (compiling,
+    printing, reference matching) recurse once per level.
+    """
     lx = _Lexer(text)
-
-    def parse_expr() -> Regex:
-        parts = [parse_inter()]
-        while lx.peek() == "|":
-            lx.take()
-            parts.append(parse_inter())
-        return union_(parts) if len(parts) > 1 else parts[0]
-
-    def parse_inter() -> Regex:
-        parts = [parse_concat()]
-        while lx.peek() == "&":
-            lx.take()
-            parts.append(parse_concat())
-        return inter(parts) if len(parts) > 1 else parts[0]
-
-    def parse_concat() -> Regex:
-        parts = [parse_factor()]
-        while True:
-            c = lx.peek()
-            if c is None or c in "|&)":
-                break
-            parts.append(parse_factor())
-        return concat(parts) if len(parts) > 1 else parts[0]
-
-    def parse_factor() -> Regex:
-        r = parse_atom()
-        while True:
-            c = lx.peek()
-            if c == "*":
-                lx.take()
-                r = star(r)
-            elif c == "+":
-                lx.take()
-                r = plus(r)
-            elif c == "?":
-                lx.take()
-                r = opt(r)
-            else:
-                return r
-
-    def parse_atom() -> Regex:
+    # Per open group: the union and intersection operands finished so
+    # far and the factors of the concatenation being read.
+    stack: list[tuple[list[Regex], list[Regex], list[Regex]]] = []
+    unions: list[Regex] = []
+    inters: list[Regex] = []
+    factors: list[Regex] = []
+    while True:
         c = lx.peek()
-        if c is None:
-            raise RegexSyntaxError("unexpected end of input", lx.pos)
-        if c == "(":
+        if c is None or c in "|&)":
+            if not factors:
+                what = "end of input" if c is None else repr(c)
+                raise RegexSyntaxError(f"unexpected {what}", lx.pos)
+            inters.append(concat(factors) if len(factors) > 1 else factors[0])
+            factors = []
+            if c == "&":
+                lx.take()
+                continue
+            unions.append(inter(inters) if len(inters) > 1 else inters[0])
+            inters = []
+            if c == "|":
+                lx.take()
+                continue
+            r = union_(unions) if len(unions) > 1 else unions[0]
+            if c is None:
+                if stack:
+                    raise RegexSyntaxError("expected ')'", lx.pos)
+                return r
+            if not stack:
+                raise RegexSyntaxError("unexpected ')'", lx.pos)
             lx.take()
-            r = parse_expr()
-            if lx.peek() != ")":
-                raise RegexSyntaxError("expected ')'", lx.pos)
+            unions, inters, factors = stack.pop()
+        elif c == "(":
+            if len(stack) == MAX_NESTING:
+                raise RegexSyntaxError(
+                    f"nested too deeply (more than {MAX_NESTING} open parentheses)", lx.pos)
             lx.take()
-            return r
-        if c == "_":
+            stack.append((unions, inters, factors))
+            unions, inters, factors = [], [], []
+            continue
+        elif c == "_":
             lx.take()
-            return epsilon(alphabet)
-        if c == "{":
+            r = epsilon(alphabet)
+        elif c == "{":
             token, at = lx.take_braced()
             if token not in alphabet:
                 raise UnknownSymbolError(token, at)
-            return lit(alphabet, token)
-        if c in RESERVED_CHARS:
+            r = lit(alphabet, token)
+        elif c in RESERVED_CHARS:
             raise RegexSyntaxError(f"unexpected {c!r}", lx.pos)
-        at = lx.pos
-        lx.take()
-        if c not in alphabet:
-            raise UnknownSymbolError(c, at)
-        return lit(alphabet, c)
-
-    r = parse_expr()
-    if lx.peek() is not None:
-        raise RegexSyntaxError(f"unexpected {lx.peek()!r}", lx.pos)
-    return r
+        else:
+            at = lx.pos
+            lx.take()
+            if c not in alphabet:
+                raise UnknownSymbolError(c, at)
+            r = lit(alphabet, c)
+        while True:
+            c = lx.peek()
+            if c == "*":
+                r = star(r)
+            elif c == "+":
+                r = plus(r)
+            elif c == "?":
+                r = opt(r)
+            else:
+                break
+            lx.take()
+        factors.append(r)

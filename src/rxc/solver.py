@@ -1,16 +1,22 @@
 """Exact crossword solving over fixed dimensions, plus two decision tests.
 
 One iterative search, ``_fill``, fills cells in row-major order.  A
-symbol is tried only if both the row's and the column's automaton state
-sets can still reach acceptance within the exact number of cells
-remaining on their line; this makes the output order deterministic
-(grids sorted by their row-major id sequence) and prunes hard.
+cell's candidates are the symbols under which both the row's and the
+column's automaton can still reach acceptance within the exact number
+of cells remaining on their line.  They come from one viable-symbol
+table (``nfa.ViableSymbols``) per automaton, keyed by (state set, cells
+left): the row's mask ANDed with the column's, taken lowest symbol id
+first, which makes the output order deterministic (grids sorted by
+their row-major id sequence) and prunes hard.  Column entries are
+filled lazily, only for the symbols the row allows, and every (key,
+symbol) pair is stepped at most once per search.
 
 ``decide_unbounded_width`` answers existence when the number of rows is
 fixed but the number of columns is not: a breadth-first search over
 profiles (the tuple of per-row state sets), filling one column at a
-time with the same search, its rows open-ended (``feasible(states,
-None)``), with a visited set guaranteeing termination.
+time with the same search and one shared set of tables, its rows
+open-ended (``feasible(states, None)``), with a visited set
+guaranteeing termination.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Iterator, Sequence
 from .grids import Grid
 from .puzzle import Puzzle
 from .rex import Regex, is_positive, regex_matches
-from .nfa import Automaton, compile_regex, is_empty_restricted, matches
+from .nfa import Automaton, ViableSymbols, compile_regex, is_empty_restricted, matches
 
 
 class DimensionError(ValueError):
@@ -62,50 +68,63 @@ def verify(puzzle: Puzzle, grid: Grid) -> bool:
 
 
 def _fill(row_autos: Sequence[Automaton], col_autos: Sequence[Automaton],
-          row_starts: Sequence, col_starts: Sequence,
-          open_rows: bool = False) -> Iterator[tuple[list[int], list]]:
+          row_starts: Sequence, col_starts: Sequence, open_rows: bool = False,
+          tables: dict[int, ViableSymbols] | None = None,
+          ) -> Iterator[tuple[list[int], list]]:
     """Yield every filling of an m x n block, in row-major lexicographic order.
 
     Row i starts in ``row_starts[i]`` and column j in ``col_starts[j]``.
-    A symbol is placed only if both its lines can still accept in exactly
-    the cells left on them; with ``open_rows`` a row need only be able to
-    accept at all.  Each cell keeps the state sets reached after it, so
-    backing up needs no undo.  Yields ``(cells, row_sets)``, row-major;
-    both lists are reused, so read them before resuming.
+    A cell's candidates are the symbols that let both its lines still
+    accept in exactly the cells left on them (with ``open_rows`` a row
+    need only be able to accept at all), read from one viable-symbol
+    table per automaton; ``tables`` (keyed by automaton id) may be shared
+    by calls over the same automata.  The column is only asked about the
+    symbols its row allows.  Each cell keeps its untried candidates and
+    the state sets reached after it, so backing up needs no undo.
+    Yields ``(cells, row_sets)``, row-major; both lists are reused, so
+    read them before resuming.
     """
+    if tables is None:
+        tables = {}
+    row_tabs = [tables.setdefault(id(a), ViableSymbols(a)) for a in row_autos]
+    col_tabs = [tables.setdefault(id(a), ViableSymbols(a)) for a in col_autos]
     m, n = len(row_autos), len(col_autos)
     size = m * n
-    nsyms = len(row_autos[0].alphabet)
+    every = (1 << len(row_autos[0].alphabet)) - 1
     cells = [0] * size
+    todo = [0] * size
+    row_succ: list = [None] * size
+    col_succ: list = [None] * size
     row_sets: list = [None] * size
     col_sets: list = [None] * size
-    k = first = 0
+    k, enter = 0, True
     while True:
-        i, j = divmod(k, n)
-        row_auto, col_auto = row_autos[i], col_autos[j]
-        row_in = row_sets[k - 1] if j else row_starts[i]
-        col_in = col_sets[k - n] if i else col_starts[j]
-        row_left = None if open_rows else n - j - 1
-        col_left = m - i - 1
-        for sym in range(first, nsyms):
-            rs = row_auto.step(row_in, sym)
-            if not row_auto.feasible(rs, row_left):
-                continue
-            cs = col_auto.step(col_in, sym)
-            if col_auto.feasible(cs, col_left):
-                break
+        if enter:
+            i, j = divmod(k, n)
+            row_in = row_sets[k - 1] if j else row_starts[i]
+            mask, row_succ[k] = row_tabs[i].get(
+                row_in, None if open_rows else n - j - 1, every)
+            if mask:
+                col_in = col_sets[k - n] if i else col_starts[j]
+                mask, col_succ[k] = col_tabs[j].get(col_in, m - i - 1, mask)
         else:
+            mask = todo[k]
+        if not mask:
             if k == 0:
                 return
-            k -= 1
-            first = cells[k] + 1
+            k, enter = k - 1, False
             continue
-        cells[k], row_sets[k], col_sets[k] = sym, rs, cs
+        low = mask & -mask
+        sym = low.bit_length() - 1
+        todo[k] = mask ^ low
+        cells[k] = sym
+        row_sets[k] = row_succ[k][sym]
+        col_sets[k] = col_succ[k][sym]
         if k + 1 < size:
-            k, first = k + 1, 0
+            k, enter = k + 1, True
         else:
             yield cells, row_sets
-            first = sym + 1
+            enter = False
 
 
 def _fillings(puzzle: Puzzle, m: int, n: int) -> Iterator[tuple[list[int], list]]:
@@ -205,9 +224,11 @@ def decide_unbounded_width(rows: Sequence[Regex], col_expr: Regex) -> WidthResul
         return Grid(alphabet, cells)
 
     col_start = [col_auto.start_set()]
+    tables: dict[int, ViableSymbols] = {}
     while queue:
         profile, depth = queue.popleft()
-        for column, ends in _fill(row_autos, [col_auto], profile, col_start, open_rows=True):
+        for column, ends in _fill(row_autos, [col_auto], profile, col_start,
+                                  open_rows=True, tables=tables):
             nxt = tuple(ends)
             if all(a.accepts(s) for a, s in zip(row_autos, nxt)):
                 return WidthResult(True, depth + 1, rebuild(profile, tuple(column)))

@@ -6,6 +6,7 @@ import pytest
 
 from rxc.nfa import (
     Nfa,
+    ViableSymbols,
     compile_regex,
     enumerate_language,
     is_empty,
@@ -78,6 +79,26 @@ def test_is_empty_restricted():
 def test_enumerate_language_order():
     assert enumerate_language(compile_regex(parse("0|1", AB)), 2) == ["0", "1"]
     assert enumerate_language(compile_regex(parse("(01)*", AB)), 4) == ["", "01", "0101"]
+
+
+def test_viable_symbols_per_key_and_lazy():
+    auto = compile_regex(parse("(0|1)*1", AB))
+    table = ViableSymbols(auto)
+    start = auto.start_set()
+    # The same state set is a different key for each count of cells left.
+    mask, succ = table.get(start, 0, 0b01)
+    assert mask == 0 and succ[1] is None    # symbol 1 not asked, not stepped
+    assert table.get(start, 0, 0b11)[0] == 0b10
+    assert table.get(start, 1, 0b11)[0] == 0b11
+    assert table.get(start, None, 0b11)[0] == 0b11
+    mask, succ = table.get(start, 1, 0b10)
+    assert mask == 0b10 and succ[1] == auto.step(start, 1)
+
+
+def test_enumerate_language_long_words():
+    # Longer than the interpreter's default recursion limit of 1,000.
+    words = enumerate_language(compile_regex(parse("0*", AB)), 1200)
+    assert words == ["0" * k for k in range(1201)]
 
 
 def test_enumerate_composite_union_of_intersection():

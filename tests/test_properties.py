@@ -1,0 +1,76 @@
+"""Property tests: the cell search against the brute-force oracle on
+puzzles with a separate random expression for every row and column."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from rxc.oracle import brute_force_crosswords
+from rxc.puzzle import Puzzle
+from rxc.rex import union_, word
+from rxc.solver import (
+    count_grids,
+    decide_unbounded_width,
+    enumerate_grids,
+    is_unique,
+    solve,
+    verify,
+)
+
+from util import AB, ABC, random_regex
+
+SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@st.composite
+def per_line_puzzles(draw, max_rows: int = 3):
+    """A puzzle with its own random expression on every line.
+
+    Each line's expression is a union of a random one and the line's
+    words in up to two planted grids, so most puzzles have solutions.
+    """
+    alphabet = draw(st.sampled_from([AB, ABC]))
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.sampled_from(alphabet.tokens), min_size=n, max_size=n)
+    planted = draw(st.lists(st.lists(row, min_size=m, max_size=m), max_size=2))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def line(words):
+        return union_([random_regex(rng, alphabet, depth=3)]
+                      + [word(alphabet, w) for w in words])
+
+    rows = tuple(line([g[i] for g in planted]) for i in range(m))
+    cols = tuple(line([[g[i][j] for i in range(m)] for g in planted]) for j in range(n))
+    return Puzzle(alphabet, rows, cols), m, n
+
+
+@SETTINGS
+@given(per_line_puzzles())
+def test_search_agrees_with_brute_force(case):
+    puzzle, m, n = case
+    slow = [g.cells for g in brute_force_crosswords(puzzle, m, n)]
+    assert [g.cells for g in enumerate_grids(puzzle, m, n)] == slow
+    assert count_grids(puzzle, m, n) == len(slow)
+    least = solve(puzzle, m, n)
+    assert (least.cells if least is not None else None) == (slow[0] if slow else None)
+    assert is_unique(puzzle, m, n) == (len(slow) == 1)
+
+
+@SETTINGS
+@given(per_line_puzzles(max_rows=2))
+def test_width_decision_agrees_with_bounded_search(case):
+    puzzle, m, _ = case
+    # One column expression for every width: the union of the column
+    # expressions keeps the planted grids as witnesses.
+    col = union_(list(puzzle.cols))
+    rows = puzzle.rows
+    res = decide_unbounded_width(rows, col)
+    bounded = Puzzle(puzzle.alphabet, rows, col)
+    widths = [n for n in range(1, 7) if solve(bounded, m, n) is not None]
+    if res.exists:
+        assert res.grid.m == m and res.grid.n == res.width
+        assert verify(bounded, res.grid)
+        assert min(widths, default=None) == (res.width if res.width <= 6 else None)
+    else:
+        assert not widths

@@ -64,6 +64,19 @@ def test_parse_errors_carry_positions():
     assert err.value.token == "2"
 
 
+def test_parse_nesting_limit():
+    deep = "(" * 3000 + "0" + ")" * 3000
+    with pytest.raises(RegexSyntaxError, match="nested too deeply"):
+        parse(deep, AB)
+    # 200 open groups is the most the grammar accepts, and the tree is
+    # still shallow enough to compile and print.
+    r = parse("(" * 200 + "0" + ")*" * 200, AB)
+    assert matches(compile_regex(r), "000")
+    assert parse(format_regex(r), AB) == r
+    with pytest.raises(RegexSyntaxError, match="nested too deeply"):
+        parse("(" * 201 + "0" + ")" * 201, AB)
+
+
 def test_parse_comments_and_whitespace():
     assert parse("0 | 1  # trailing comment", AB) == parse("0|1", AB)
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from rxc.grids import Grid
+from rxc.nfa import Nfa
 from rxc.oracle import brute_force_crosswords
 from rxc.puzzle import Puzzle, uniform_puzzle
 from rxc.rex import Alphabet, is_positive, parse, regex_matches
@@ -56,6 +57,24 @@ def test_large_grid_leaves_recursion_limit_alone(monkeypatch):
     p = uniform_puzzle(zeros, zeros)
     assert solve(p, 40, 40).cells == ((0,) * 40,) * 40
     assert count_grids(p, 40, 40) == 1
+
+
+def test_search_steps_each_line_key_once(monkeypatch):
+    # Every row and column of (0|1)* reaches the same state sets, so the
+    # cell search needs one step per (state set, cells left, symbol) and
+    # not one per cell visit: 4,096 solutions at 3 x 4.
+    calls = []
+    real_step = Nfa.step
+
+    def counting_step(self, states, sym_id):
+        calls.append(sym_id)
+        return real_step(self, states, sym_id)
+
+    monkeypatch.setattr(Nfa, "step", counting_step)
+    any_word = parse("(0|1)*", AB)
+    m, n = 3, 4
+    assert count_grids(uniform_puzzle(any_word, any_word), m, n) == 2 ** (m * n)
+    assert len(calls) <= 2 * len(AB) * (m + n + 2)
 
 
 def test_enumerate_examples():
