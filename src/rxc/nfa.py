@@ -8,8 +8,12 @@ intersection is nested under concatenation or a closure operator, an
 explicit reachable-state product is built and embedded.
 
 State sets are integer bitmasks for flat automata and tuples of child
-sets for the implicit composites, and they are always epsilon-closed.
-An empty set signals a dead prefix.
+sets for the implicit composites.  A flat set holds only kernel states:
+those with a labelled out-edge and the accepting states, taken from the
+epsilon-closure of the states reached.  The other states of a closure
+can neither read a symbol nor accept, so leaving them out changes no
+answer, and sets that differed only in them are equal.  A set with no
+kernel state is empty and signals a dead prefix.
 
 ``ViableSymbols`` tabulates, per state set and number of symbols left,
 which symbols keep a line alive; the grid search and
@@ -47,7 +51,12 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class Nfa:
-    """Flat epsilon-NFA over symbol ids, with closed-bitmask stepping."""
+    """Flat epsilon-NFA over symbol ids, stepping bitmasks of kernel states.
+
+    The tables are built on first use, with closures taken only from the
+    start state and the labelled-edge targets; an operand automaton that
+    is only embedded or flattened never builds them.
+    """
 
     def __init__(
         self,
@@ -83,35 +92,40 @@ class Nfa:
         eps_adj: list[list[int]] = [[] for _ in range(n)]
         for s, t in self.epsilon_edges:
             eps_adj[s].append(t)
-        closure = [0] * n
-        for s in range(n):
-            seen = 1 << s
+        self._accept_mask = sum(1 << s for s in self.accepting)
+        src = [0] * len(self.alphabet)
+        for s, a, _ in self.labeled_edges:
+            src[a] |= 1 << s
+        kernel = self.accepting.union(s for s, _, _ in self.labeled_edges)
+        # The kernel part of the epsilon-closure of the start state and of
+        # each labelled-edge target; the walk from s marks states with s.
+        closures: dict[int, int] = {}
+        seen = [-1] * n
+        for s in {t for _, _, t in self.labeled_edges} | {self.start}:
+            got = 0
+            seen[s] = s
             stack = [s]
             while stack:
                 u = stack.pop()
+                if u in kernel:
+                    got |= 1 << u
                 for v in eps_adj[u]:
-                    b = 1 << v
-                    if not seen & b:
-                        seen |= b
+                    if seen[v] != s:
+                        seen[v] = s
                         stack.append(v)
-            closure[s] = seen
-        self._closure = closure
+            closures[s] = got
         trans: list[dict[int, int]] = [{} for _ in range(n)]
         for s, a, t in self.labeled_edges:
-            trans[s][a] = trans[s].get(a, 0) | closure[t]
+            trans[s][a] = trans[s].get(a, 0) | closures[t]
         self._trans = trans
+        self._src = src
         rev_any = [0] * n
-        for s in range(n):
-            sbit = 1 << s
-            for mask in trans[s].values():
+        for s, row in enumerate(trans):
+            for mask in row.values():
                 for t in _bits(mask):
-                    rev_any[t] |= sbit
+                    rev_any[t] |= 1 << s
         self._rev_any = rev_any
-        self._accept_mask = 0
-        for s in self.accepting:
-            self._accept_mask |= 1 << s
-        self._start_set = closure[self.start]
-        self._step_cache: dict[tuple[int, int], int] = {}
+        self._start_set = closures[self.start]
         self._reach_layers = [self._accept_mask]
         self._reach_any: int | None = None
         self._prepared = True
@@ -124,15 +138,10 @@ class Nfa:
 
     def step(self, states: int, sym_id: int) -> int:
         self._prepare()
-        key = (states, sym_id)
-        got = self._step_cache.get(key)
-        if got is not None:
-            return got
         out = 0
         trans = self._trans
-        for s in _bits(states):
-            out |= trans[s].get(sym_id, 0)
-        self._step_cache[key] = out
+        for s in _bits(states & self._src[sym_id]):
+            out |= trans[s][sym_id]
         return out
 
     def is_dead(self, states: int) -> bool:
@@ -483,7 +492,7 @@ def matches(auto: Automaton, w) -> bool:
 
 
 def step(auto: Automaton, states, sym: TUnion[Symbol, str, int]):
-    """One closed step of a state set on a symbol."""
+    """One step of a state set on a symbol."""
     if isinstance(sym, Symbol):
         sym_id = auto.alphabet.symbol(sym.token).id
     elif isinstance(sym, str):

@@ -547,23 +547,27 @@ class _Lexer:
 
 
 MAX_NESTING = 200
+_TOO_DEEP = f"nested too deeply (more than {MAX_NESTING} levels)"
 
 
 def parse(text: str, alphabet: Alphabet) -> Regex:
     """Parse regex text over the given alphabet.
 
     The parser keeps one frame per open parenthesis on an explicit
-    stack.  More than ``MAX_NESTING`` open parentheses at once raise
+    stack.  An open parenthesis and a postfix operator each nest one
+    level: more than ``MAX_NESTING`` levels around any atom raise
     ``RegexSyntaxError``, because the walks over the tree (compiling,
     printing, reference matching) recurse once per level.
     """
     lx = _Lexer(text)
     # Per open group: the union and intersection operands finished so
-    # far and the factors of the concatenation being read.
-    stack: list[tuple[list[Regex], list[Regex], list[Regex]]] = []
+    # far, the factors of the concatenation being read, and the most
+    # postfix operators nested in one of those factors.
+    stack: list[tuple[list[Regex], list[Regex], list[Regex], int]] = []
     unions: list[Regex] = []
     inters: list[Regex] = []
     factors: list[Regex] = []
+    depth = level = 0
     while True:
         c = lx.peek()
         if c is None or c in "|&)":
@@ -588,14 +592,15 @@ def parse(text: str, alphabet: Alphabet) -> Regex:
             if not stack:
                 raise RegexSyntaxError("unexpected ')'", lx.pos)
             lx.take()
-            unions, inters, factors = stack.pop()
+            level = depth
+            unions, inters, factors, depth = stack.pop()
+            depth = max(depth, level)
         elif c == "(":
             if len(stack) == MAX_NESTING:
-                raise RegexSyntaxError(
-                    f"nested too deeply (more than {MAX_NESTING} open parentheses)", lx.pos)
+                raise RegexSyntaxError(_TOO_DEEP, lx.pos)
             lx.take()
-            stack.append((unions, inters, factors))
-            unions, inters, factors = [], [], []
+            stack.append((unions, inters, factors, depth))
+            unions, inters, factors, depth = [], [], [], 0
             continue
         elif c == "_":
             lx.take()
@@ -623,5 +628,10 @@ def parse(text: str, alphabet: Alphabet) -> Regex:
                 r = opt(r)
             else:
                 break
+            level += 1
+            if len(stack) + level > MAX_NESTING:
+                raise RegexSyntaxError(_TOO_DEEP, lx.pos)
+            depth = max(depth, level)
             lx.take()
         factors.append(r)
+        level = 0

@@ -9,6 +9,7 @@ from rxc.nfa import (
     ViableSymbols,
     compile_regex,
     enumerate_language,
+    flatten,
     is_empty,
     is_empty_restricted,
     matches,
@@ -16,7 +17,7 @@ from rxc.nfa import (
 )
 from rxc.rex import Alphabet, parse, regex_matches
 
-from util import AB, all_words, random_regex
+from util import AB, ABC, all_words, random_regex
 
 
 def test_matches_examples():
@@ -62,6 +63,34 @@ def test_step_examples():
     s = step(auto2, s, "0")
     s = step(auto2, s, "0")
     assert not auto2.accepts(s)
+
+
+def test_pass_through_states_leave_the_sets():
+    # The epsilon-closure of (0|1)* holds pass-through states that differ
+    # before and after a step; without them the three sets are equal.
+    auto = compile_regex(parse("(0|1)*", AB))
+    s0 = auto.start_set()
+    assert auto.step(s0, 0) == s0 == auto.step(s0, 1)
+
+
+def test_sets_hold_only_reading_or_accepting_states():
+    rng = random.Random(11)
+    for k in range(200):
+        alphabet = (AB, ABC)[k % 2]
+        auto = flatten(compile_regex(random_regex(rng, alphabet, depth=4)))
+        kernel = 0
+        for s in {s for s, _, _ in auto.labeled_edges} | auto.accepting:
+            kernel |= 1 << s
+        seen = {auto.start_set()}
+        todo = list(seen)
+        while todo:
+            states = todo.pop()
+            assert states & ~kernel == 0
+            for sym in range(len(alphabet)):
+                nxt = auto.step(states, sym)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
 
 
 def test_is_empty_examples():

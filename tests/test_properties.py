@@ -1,13 +1,16 @@
-"""Property tests: the cell search against the brute-force oracle on
-puzzles with a separate random expression for every row and column."""
+"""Property tests against the reference semantics: the automata layer
+against ``regex_matches``, the printer against the parser, and the cell
+search against the brute-force oracle on puzzles with a separate random
+expression for every row and column."""
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
+from rxc.nfa import compile_regex, enumerate_language, matches
 from rxc.oracle import brute_force_crosswords
 from rxc.puzzle import Puzzle
-from rxc.rex import union_, word
+from rxc.rex import format_regex, parse, regex_matches, union_, word
 from rxc.solver import (
     count_grids,
     decide_unbounded_width,
@@ -17,9 +20,37 @@ from rxc.solver import (
     verify,
 )
 
-from util import AB, ABC, random_regex
+from util import AB, ABC, all_words, random_regex
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@st.composite
+def regexes(draw):
+    """A random expression over AB or ABC, intersections included, and
+    the longest word length to check it on."""
+    alphabet, max_len = draw(st.sampled_from([(AB, 5), (ABC, 4)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return random_regex(rng, alphabet, depth=4), max_len
+
+
+@SETTINGS
+@given(regexes())
+def test_automata_agree_with_reference(case):
+    r, max_len = case
+    auto = compile_regex(r)
+    words = [w for n in range(max_len + 1) for w in all_words(r.alphabet, n)]
+    accepted = [w for w in words if regex_matches(r, w)]
+    assert [w for w in words if matches(auto, w)] == accepted
+    assert enumerate_language(auto, 4) == [
+        "".join(s.token for s in w) for w in accepted if len(w) <= 4]
+
+
+@SETTINGS
+@given(regexes())
+def test_format_parse_roundtrip(case):
+    r, _ = case
+    assert parse(format_regex(r), r.alphabet) == r
 
 
 @st.composite

@@ -77,6 +77,20 @@ def test_parse_nesting_limit():
         parse("(" * 201 + "0" + ")" * 201, AB)
 
 
+def test_parse_postfix_chain_limit():
+    # Each postfix operator wraps the tree one level deeper, as an open
+    # parenthesis does.
+    with pytest.raises(RegexSyntaxError, match="nested too deeply"):
+        parse("0" + "*" * 3000, AB)
+    # Operators on a group count on top of those inside it.
+    with pytest.raises(RegexSyntaxError, match="nested too deeply"):
+        parse("(" * 100 + "0" + ")***" * 100, AB)
+    r = parse("0" + "*" * 150, AB)
+    assert parse(format_regex(r), AB) == r
+    assert matches(compile_regex(r), "00")
+    assert regex_matches(r, "00")
+
+
 def test_parse_comments_and_whitespace():
     assert parse("0 | 1  # trailing comment", AB) == parse("0|1", AB)
 
