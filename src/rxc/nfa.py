@@ -15,9 +15,12 @@ can neither read a symbol nor accept, so leaving them out changes no
 answer, and sets that differed only in them are equal.  A set with no
 kernel state is empty and signals a dead prefix.
 
+Every automaton reports, per state set, the symbols the set can read
+(``readable``); any other symbol steps it to a dead set.
 ``ViableSymbols`` tabulates, per state set and number of symbols left,
-which symbols keep a line alive; the grid search and
-``enumerate_language`` read their candidates from it.
+which symbols keep a line alive, and never steps an unreadable symbol;
+the grid search and ``enumerate_language`` read their candidates from
+it.
 """
 
 from __future__ import annotations
@@ -94,8 +97,10 @@ class Nfa:
             eps_adj[s].append(t)
         self._accept_mask = sum(1 << s for s in self.accepting)
         src = [0] * len(self.alphabet)
+        reads = [0] * n
         for s, a, _ in self.labeled_edges:
             src[a] |= 1 << s
+            reads[s] |= 1 << a
         kernel = self.accepting.union(s for s, _, _ in self.labeled_edges)
         # The kernel part of the epsilon-closure of the start state and of
         # each labelled-edge target; the walk from s marks states with s.
@@ -115,16 +120,17 @@ class Nfa:
                         stack.append(v)
             closures[s] = got
         trans: list[dict[int, int]] = [{} for _ in range(n)]
+        into: dict[int, int] = {}
         for s, a, t in self.labeled_edges:
             trans[s][a] = trans[s].get(a, 0) | closures[t]
+            into[t] = into.get(t, 0) | 1 << s
         self._trans = trans
         self._src = src
-        rev_any = [0] * n
-        for s, row in enumerate(trans):
-            for mask in row.values():
-                for t in _bits(mask):
-                    rev_any[t] |= 1 << s
-        self._rev_any = rev_any
+        self._reads = reads
+        # One (closure of t, sources of the edges into t) pair per edge
+        # target t: a state is one symbol before a layer iff one of its
+        # edges leads to a closure that meets the layer.
+        self._preds = [(closures[t], sources) for t, sources in into.items()]
         self._start_set = closures[self.start]
         self._reach_layers = [self._accept_mask]
         self._reach_any: int | None = None
@@ -144,12 +150,28 @@ class Nfa:
             out |= trans[s][sym_id]
         return out
 
+    def readable(self, states: int) -> int:
+        """Mask of the symbols some state in ``states`` has an edge on."""
+        self._prepare()
+        out = 0
+        reads = self._reads
+        for s in _bits(states):
+            out |= reads[s]
+        return out
+
     def is_dead(self, states: int) -> bool:
         return states == 0
 
     def accepts(self, states: int) -> bool:
         self._prepare()
         return bool(states & self._accept_mask)
+
+    def _preds_of(self, layer: int) -> int:
+        out = 0
+        for closure, sources in self._preds:
+            if closure & layer:
+                out |= sources
+        return out
 
     def reach_in(self, steps: int | None) -> int:
         """Mask of states with some accepting path of exactly ``steps``
@@ -159,20 +181,14 @@ class Nfa:
             if self._reach_any is None:
                 alive = frontier = self._accept_mask
                 while frontier:
-                    grown = 0
-                    for t in _bits(frontier):
-                        grown |= self._rev_any[t]
+                    grown = self._preds_of(frontier)
                     frontier = grown & ~alive
                     alive |= grown
                 self._reach_any = alive
             return self._reach_any
         layers = self._reach_layers
         while len(layers) <= steps:
-            prev = layers[-1]
-            nxt = 0
-            for t in _bits(prev):
-                nxt |= self._rev_any[t]
-            layers.append(nxt)
+            layers.append(self._preds_of(layers[-1]))
         return layers[steps]
 
     def feasible(self, states: int, steps: int | None) -> bool:
@@ -202,6 +218,12 @@ class ProductAuto:
     def step(self, states, sym_id: int):
         return tuple(c.step(s, sym_id) for c, s in zip(self.children, states))
 
+    def readable(self, states) -> int:
+        out = -1
+        for c, s in zip(self.children, states):
+            out &= c.readable(s)
+        return out
+
     def is_dead(self, states) -> bool:
         return any(c.is_dead(s) for c, s in zip(self.children, states))
 
@@ -229,6 +251,12 @@ class UnionAuto:
     def step(self, states, sym_id: int):
         return tuple(c.step(s, sym_id) for c, s in zip(self.children, states))
 
+    def readable(self, states) -> int:
+        out = 0
+        for c, s in zip(self.children, states):
+            out |= c.readable(s)
+        return out
+
     def is_dead(self, states) -> bool:
         return all(c.is_dead(s) for c, s in zip(self.children, states))
 
@@ -252,6 +280,8 @@ class ViableSymbols:
     This is the forward support of Pesant's REGULAR constraint.  Entries
     fill lazily: a lookup steps only the symbols of ``among`` not yet
     stepped under that key, so each (key, symbol) pair is stepped once.
+    Symbols the set cannot read are never stepped: a new entry counts
+    them as stepped and not viable, and their successors stay None.
     A table serves one search and is dropped with it.
     """
 
@@ -268,7 +298,10 @@ class ViableSymbols:
         key = (states, after)
         entry = self._entries.get(key)
         if entry is None:
-            entry = self._entries[key] = [0, 0, [None] * self._nsyms]
+            # A symbol no state can read steps to the dead set: it counts
+            # as stepped and is never viable.
+            entry = self._entries[key] = [~self.auto.readable(states), 0,
+                                          [None] * self._nsyms]
         stepped, viable, succ = entry
         todo = among & ~stepped
         if todo:

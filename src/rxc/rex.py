@@ -550,57 +550,71 @@ MAX_NESTING = 200
 _TOO_DEEP = f"nested too deeply (more than {MAX_NESTING} levels)"
 
 
+def _build(make, kind: type, parts: list[tuple[Regex, int]]) -> tuple[Regex, int]:
+    """Join two or more parts with ``make`` and return the result with its
+    depth, one more than its deepest part's."""
+    nodes, depths = zip(*parts)
+    r = make(nodes)
+    if len(r.node.parts) == len(nodes):
+        return r, max(depths) + 1
+    # A part of the same kind was spliced into the new node: it adds no level.
+    return r, 1 + max(d - isinstance(p.node, kind) for p, d in parts)
+
+
 def parse(text: str, alphabet: Alphabet) -> Regex:
     """Parse regex text over the given alphabet.
 
     The parser keeps one frame per open parenthesis on an explicit
-    stack.  An open parenthesis and a postfix operator each nest one
-    level: more than ``MAX_NESTING`` levels around any atom raise
-    ``RegexSyntaxError``, because the walks over the tree (compiling,
-    printing, reference matching) recurse once per level.
+    stack.  An open parenthesis, a postfix operator and a union,
+    intersection or concatenation node each nest one level: more than
+    ``MAX_NESTING`` levels around any atom raise ``RegexSyntaxError``,
+    because the walks over the tree (compiling, printing, reference
+    matching) recurse once per level.
     """
     lx = _Lexer(text)
     # Per open group: the union and intersection operands finished so
-    # far, the factors of the concatenation being read, and the most
-    # postfix operators nested in one of those factors.
-    stack: list[tuple[list[Regex], list[Regex], list[Regex], int]] = []
-    unions: list[Regex] = []
-    inters: list[Regex] = []
-    factors: list[Regex] = []
-    depth = level = 0
+    # far and the factors of the concatenation being read, each with
+    # the depth of its tree.
+    stack: list[tuple[list, list, list]] = []
+    unions: list[tuple[Regex, int]] = []
+    inters: list[tuple[Regex, int]] = []
+    factors: list[tuple[Regex, int]] = []
+    level = 0
     while True:
         c = lx.peek()
         if c is None or c in "|&)":
             if not factors:
                 what = "end of input" if c is None else repr(c)
                 raise RegexSyntaxError(f"unexpected {what}", lx.pos)
-            inters.append(concat(factors) if len(factors) > 1 else factors[0])
+            inters.append(factors[0] if len(factors) == 1 else _build(concat, Concat, factors))
             factors = []
             if c == "&":
                 lx.take()
                 continue
-            unions.append(inter(inters) if len(inters) > 1 else inters[0])
+            unions.append(inters[0] if len(inters) == 1 else _build(inter, Inter, inters))
             inters = []
             if c == "|":
                 lx.take()
                 continue
-            r = union_(unions) if len(unions) > 1 else unions[0]
+            r, level = unions[0] if len(unions) == 1 else _build(union_, Union, unions)
             if c is None:
                 if stack:
                     raise RegexSyntaxError("expected ')'", lx.pos)
+                if level > MAX_NESTING:
+                    raise RegexSyntaxError(_TOO_DEEP, lx.pos)
                 return r
             if not stack:
                 raise RegexSyntaxError("unexpected ')'", lx.pos)
             lx.take()
-            level = depth
-            unions, inters, factors, depth = stack.pop()
-            depth = max(depth, level)
+            unions, inters, factors = stack.pop()
+            if len(stack) + level > MAX_NESTING:
+                raise RegexSyntaxError(_TOO_DEEP, lx.pos)
         elif c == "(":
             if len(stack) == MAX_NESTING:
                 raise RegexSyntaxError(_TOO_DEEP, lx.pos)
             lx.take()
-            stack.append((unions, inters, factors, depth))
-            unions, inters, factors, depth = [], [], [], 0
+            stack.append((unions, inters, factors))
+            unions, inters, factors = [], [], []
             continue
         elif c == "_":
             lx.take()
@@ -631,7 +645,6 @@ def parse(text: str, alphabet: Alphabet) -> Regex:
             level += 1
             if len(stack) + level > MAX_NESTING:
                 raise RegexSyntaxError(_TOO_DEEP, lx.pos)
-            depth = max(depth, level)
             lx.take()
-        factors.append(r)
+        factors.append((r, level))
         level = 0

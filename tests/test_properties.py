@@ -1,13 +1,14 @@
 """Property tests against the reference semantics: the automata layer
 against ``regex_matches``, the printer against the parser, and the cell
 search against the brute-force oracle on puzzles with a separate random
-expression for every row and column."""
+expression for every row and column; and the read masks of the automata
+against their steps."""
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from rxc.nfa import compile_regex, enumerate_language, matches
+from rxc.nfa import Nfa, compile_regex, enumerate_language, matches
 from rxc.oracle import brute_force_crosswords
 from rxc.puzzle import Puzzle
 from rxc.rex import format_regex, parse, regex_matches, union_, word
@@ -51,6 +52,40 @@ def test_automata_agree_with_reference(case):
 def test_format_parse_roundtrip(case):
     r, _ = case
     assert parse(format_regex(r), r.alphabet) == r
+
+
+def _parts(auto):
+    """The automaton and, for a composite, every automaton inside it."""
+    yield auto
+    for child in getattr(auto, "children", ()):
+        yield from _parts(child)
+
+
+def _sets_within(auto, steps):
+    """Every state set reached from the start in at most ``steps`` steps."""
+    seen = frontier = {auto.start_set()}
+    for _ in range(steps):
+        frontier = {auto.step(s, a) for s in frontier for a in range(len(auto.alphabet))} - seen
+        seen = seen | frontier
+    return seen
+
+
+@SETTINGS
+@given(regexes())
+def test_unreadable_symbols_step_to_dead_sets(case):
+    r, _ = case
+    intersection_free = "&" not in format_regex(r)
+    for auto in _parts(compile_regex(r)):
+        syms = range(len(auto.alphabet))
+        for states in _sets_within(auto, 4):
+            readable = auto.readable(states)
+            assert all(auto.is_dead(auto.step(states, a)) for a in syms if not readable >> a & 1)
+            if isinstance(auto, Nfa):
+                # Exact on a flat automaton: the symbols its states have an
+                # edge on, and without intersections none of them is dead.
+                assert readable == sum({1 << a for s, a, _ in auto.labeled_edges if states >> s & 1})
+                if intersection_free:
+                    assert not any(auto.is_dead(auto.step(states, a)) for a in syms if readable >> a & 1)
 
 
 @st.composite

@@ -91,6 +91,25 @@ def test_parse_postfix_chain_limit():
     assert regex_matches(r, "00")
 
 
+def test_parse_tree_depth_limit():
+    # Each level of "(0|0&0" adds a union, an intersection and a
+    # concatenation node to the tree, and each counts as a level.
+    def nested(levels):
+        return "(0|0&0" * levels + "0" + ")" * levels
+
+    with pytest.raises(RegexSyntaxError, match="nested too deeply"):
+        parse(nested(100), AB)
+    with pytest.raises(RegexSyntaxError, match="nested too deeply"):
+        parse(nested(67), AB)
+    r = parse(nested(66), AB)  # 198 levels
+    assert parse(format_regex(r), AB) == r
+    assert matches(compile_regex(r), "0")
+    assert regex_matches(r, "0")
+    # A group of the same kind is spliced into its parent and adds none.
+    flat = parse("(" * 150 + "01" + ")0" * 150, AB)
+    assert isinstance(flat.node, Concat) and len(flat.node.parts) == 152
+
+
 def test_parse_comments_and_whitespace():
     assert parse("0 | 1  # trailing comment", AB) == parse("0|1", AB)
 

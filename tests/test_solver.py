@@ -6,9 +6,12 @@ import sys
 import pytest
 
 from rxc.grids import Grid
+from rxc.machines import demo_machine
+from rxc.markers import marker_alphabet
 from rxc.nfa import Nfa
 from rxc.oracle import brute_force_crosswords
 from rxc.puzzle import Puzzle, uniform_puzzle
+from rxc.reductions import column_expression, row_expression
 from rxc.rex import Alphabet, is_positive, parse, regex_matches
 from rxc.solver import (
     DimensionError,
@@ -75,6 +78,29 @@ def test_search_steps_each_line_key_once(monkeypatch):
     m, n = 3, 4
     assert count_grids(uniform_puzzle(any_word, any_word), m, n) == 2 ** (m * n)
     assert len(calls) <= 2 * len(AB) * (m + n + 2)
+
+
+def test_search_steps_only_readable_symbols(monkeypatch):
+    # The demo tableau has 36 marker symbols, and most state sets can
+    # read only a few of them; a step on any other symbol is dead.
+    calls = []
+    real_step = Nfa.step
+
+    def checking_step(self, states, sym_id):
+        readers = {s for s, a, _ in self.labeled_edges if a == sym_id}
+        calls.append(any(states >> s & 1 for s in readers))
+        return real_step(self, states, sym_id)
+
+    monkeypatch.setattr(Nfa, "step", checking_step)
+    machine = demo_machine()
+    mk = marker_alphabet(machine)
+    row, col = row_expression(machine, "a", mk), column_expression(machine, mk)
+    assert len(mk.alphabet) == 36
+    assert solve(uniform_puzzle(row, col), 6, 4) is not None
+    assert calls and all(calls)
+    calls.clear()
+    assert decide_unbounded_width([row] * 6, col).width == 4
+    assert calls and all(calls)
 
 
 def test_enumerate_examples():
