@@ -18,9 +18,11 @@ kernel state is empty and signals a dead prefix.
 Every automaton reports, per state set, the symbols the set can read
 (``readable``); any other symbol steps it to a dead set.
 ``ViableSymbols`` tabulates, per state set and number of symbols left,
-which symbols keep a line alive, and never steps an unreadable symbol;
-the grid search and ``enumerate_language`` read their candidates from
-it.
+which symbols keep a line alive, and never steps an unreadable symbol.
+Its entries are the nodes of a lazily built DFA, each linked to its
+successors' entries: the grid search and ``enumerate_language`` walk
+the links, so a state set is hashed only at a walk's root and once per
+new link.
 """
 
 from __future__ import annotations
@@ -270,19 +272,42 @@ class UnionAuto:
 Automaton = TUnion[Nfa, ProductAuto, UnionAuto]
 
 
+class ViableEntry:
+    """One entry of a ``ViableSymbols`` table, for one (state set,
+    symbols left) pair: a node of the table's lazily built DFA.
+
+    ``viable`` masks the symbols stepped so far whose successor can
+    still accept in the symbols left, ``unstepped`` the readable symbols
+    not stepped yet; ``succ[sym]`` holds a stepped symbol's successor
+    set, and ``links[sym]`` the successor's entry once it is followed.
+    """
+
+    __slots__ = ("states", "after", "unstepped", "viable", "succ", "links")
+
+    def __init__(self, states, after: int | None, readable: int, nsyms: int):
+        self.states = states
+        self.after = after
+        self.unstepped = readable
+        self.viable = 0
+        self.succ: list = [None] * nsyms
+        self.links: list = [None] * nsyms
+
+
 class ViableSymbols:
     """Which symbols keep a line alive, per (state set, symbols left).
 
-    The entry for ``(states, after)`` holds, as a bitmask over symbol
-    ids, the symbols whose successor ``auto.step(states, sym)`` can still
-    accept after exactly ``after`` more symbols (after any number when
-    ``after`` is None), and the successor of every symbol stepped so far.
-    This is the forward support of Pesant's REGULAR constraint.  Entries
-    fill lazily: a lookup steps only the symbols of ``among`` not yet
-    stepped under that key, so each (key, symbol) pair is stepped once.
-    Symbols the set cannot read are never stepped: a new entry counts
-    them as stepped and not viable, and their successors stay None.
-    A table serves one search and is dropped with it.
+    A symbol is viable when ``auto.step(states, sym)`` can still accept
+    after exactly ``after`` more symbols (after any number when
+    ``after`` is None).  This is the forward support of Pesant's REGULAR
+    constraint, built as a lazy DFA: each (states, after) pair gets one
+    ``ViableEntry``, and a viable symbol's successor, with one symbol
+    fewer left (None stays None), is linked from the entry on its first
+    traversal.  A walk along the links indexes lists and hashes no state
+    set; the keyed lookup (``entry``) runs for a walk's root and once per
+    new link.  Symbols are stepped lazily, only those a caller asks
+    about, and each (entry, symbol) pair at most once; symbols the set
+    cannot read step to a dead set and are never stepped.  A table
+    serves one search and is dropped with it.
     """
 
     __slots__ = ("auto", "_nsyms", "_entries")
@@ -290,29 +315,38 @@ class ViableSymbols:
     def __init__(self, auto: Automaton):
         self.auto = auto
         self._nsyms = len(auto.alphabet)
-        self._entries: dict[tuple, list] = {}
+        self._entries: dict[tuple, ViableEntry] = {}
 
-    def get(self, states, after: int | None, among: int) -> tuple[int, list]:
-        """The viable symbols among ``among``, and a list indexed by
-        symbol id holding their successor sets."""
+    def entry(self, states, after: int | None) -> ViableEntry:
+        """The entry of ``(states, after)``, made on first lookup."""
         key = (states, after)
         entry = self._entries.get(key)
         if entry is None:
-            # A symbol no state can read steps to the dead set: it counts
-            # as stepped and is never viable.
-            entry = self._entries[key] = [~self.auto.readable(states), 0,
-                                          [None] * self._nsyms]
-        stepped, viable, succ = entry
-        todo = among & ~stepped
+            entry = self._entries[key] = ViableEntry(
+                states, after, self.auto.readable(states), self._nsyms)
+        return entry
+
+    def among(self, entry: ViableEntry, symbols: int) -> int:
+        """The viable symbols of ``entry`` among ``symbols``, stepping
+        the readable ones not stepped yet."""
+        todo = symbols & entry.unstepped
         if todo:
-            auto = self.auto
+            auto, states, after = self.auto, entry.states, entry.after
+            succ, viable = entry.succ, entry.viable
             for sym in _bits(todo):
                 nxt = succ[sym] = auto.step(states, sym)
                 if auto.feasible(nxt, after):
                     viable |= 1 << sym
-            entry[0] = stepped | todo
-            entry[1] = viable
-        return viable & among, succ
+            entry.unstepped ^= todo
+            entry.viable = viable
+        return entry.viable & symbols
+
+    def link(self, entry: ViableEntry, sym: int) -> ViableEntry:
+        """Link a viable symbol of ``entry`` to its successor's entry."""
+        after = entry.after
+        nxt = entry.links[sym] = self.entry(
+            entry.succ[sym], None if after is None else after - 1)
+        return nxt
 
 
 # --- compilation -------------------------------------------------------------
@@ -623,9 +657,10 @@ def enumerate_language(auto: Automaton, max_len: int) -> list[str]:
     for target in range(1, max_len + 1):
         word = [0] * target
         todo = [0] * target
-        succs: list = [None] * target
+        entries: list = [None] * target
+        entries[0] = table.entry(start, target - 1)
+        todo[0] = table.among(entries[0], every)
         k = 0
-        todo[0], succs[0] = table.get(start, target - 1, every)
         while True:
             mask = todo[k]
             if not mask:
@@ -638,8 +673,10 @@ def enumerate_language(auto: Automaton, max_len: int) -> list[str]:
             todo[k] = mask ^ low
             word[k] = sym
             if k + 1 < target:
+                entry = entries[k]
                 k += 1
-                todo[k], succs[k] = table.get(succs[k - 1][sym], target - k - 1, every)
+                entries[k] = entry = entry.links[sym] or table.link(entry, sym)
+                todo[k] = table.among(entry, every)
             else:
                 out.append("".join(tokens[s] for s in word))
     return out

@@ -505,44 +505,48 @@ def format_regex(r: Regex) -> str:
 # --- parsing ------------------------------------------------------------------
 
 class _Lexer:
+    """Reads regex text one character at a time.  Whitespace and ``#``
+    comments are skipped once at the start and after each token taken,
+    so ``pos`` always rests on the next token and ``peek`` reads it."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self._skip()
 
     def _skip(self) -> None:
-        text, n = self.text, len(self.text)
-        while self.pos < n:
-            c = text[self.pos]
+        text, n, pos = self.text, len(self.text), self.pos
+        while pos < n:
+            c = text[pos]
             if c.isspace():
-                self.pos += 1
+                pos += 1
             elif c == "#":
-                while self.pos < n and text[self.pos] != "\n":
-                    self.pos += 1
+                pos = text.find("\n", pos)
+                if pos == -1:
+                    pos = n
             else:
-                return
+                break
+        self.pos = pos
 
     def peek(self) -> str | None:
-        self._skip()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+        return self.text[self.pos] if self.pos < len(self.text) else None
 
-    def take(self) -> str:
-        c = self.peek()
-        assert c is not None
+    def take(self) -> None:
+        """Consume the character ``peek`` returned."""
         self.pos += 1
-        return c
+        self._skip()
 
     def take_braced(self) -> tuple[str, int]:
+        """Consume a ``{token}`` starting at the ``{`` ``peek`` returned."""
         start = self.pos
-        assert self.take() == "{"
-        end = self.text.find("}", self.pos)
+        end = self.text.find("}", start + 1)
         if end == -1:
             raise RegexSyntaxError("unterminated '{' token", start)
-        token = self.text[self.pos:end]
+        token = self.text[start + 1:end]
         if not token:
             raise RegexSyntaxError("empty symbol token", start)
         self.pos = end + 1
+        self._skip()
         return token, start
 
 

@@ -4,12 +4,15 @@ One iterative search, ``_fill``, fills cells in row-major order.  A
 cell's candidates are the symbols under which both the row's and the
 column's automaton can still reach acceptance within the exact number
 of cells remaining on their line.  They come from one viable-symbol
-table (``nfa.ViableSymbols``) per automaton, keyed by (state set, cells
-left): the row's mask ANDed with the column's, taken lowest symbol id
-first, which makes the output order deterministic (grids sorted by
-their row-major id sequence) and prunes hard.  Column entries are
-filled lazily, only for the symbols the row allows, and every (key,
-symbol) pair is stepped at most once per search.
+table (``nfa.ViableSymbols``) per automaton, with one entry per (state
+set, cells left): the row's mask ANDed with the column's, taken lowest
+symbol id first, which makes the output order deterministic (grids
+sorted by their row-major id sequence) and prunes hard.  Column entries
+are filled lazily, only for the symbols the row allows, and every
+(entry, symbol) pair is stepped at most once per search.  Entries are
+linked to their successors' entries, so a cell visit reaches its row
+and column entries by list indexing and hashes nothing; the keyed
+lookup runs once per line start and once per new link.
 
 ``decide_unbounded_width`` answers existence when the number of rows is
 fixed but the number of columns is not: a breadth-first search over
@@ -80,9 +83,12 @@ def _fill(row_autos: Sequence[Automaton], col_autos: Sequence[Automaton],
     table per automaton; ``tables`` (keyed by automaton id) may be shared
     by calls over the same automata.  The column is only asked about the
     symbols its row allows.  Each cell keeps its untried candidates and
-    the state sets reached after it, so backing up needs no undo.
-    Yields ``(cells, row_sets)``, row-major; both lists are reused, so
-    read them before resuming.
+    the row and column table entries it read.  A cell's entries are the
+    links of its left and upper neighbours' entries on their symbols, so
+    entering a cell indexes lists and hashes nothing, and backing up
+    needs no undo.  Yields ``(cells, row_entries)``, row-major; row k
+    steps to ``row_entries[k].succ[cells[k]]``.  Both lists are reused,
+    so read them before resuming.
     """
     if tables is None:
         tables = {}
@@ -90,23 +96,41 @@ def _fill(row_autos: Sequence[Automaton], col_autos: Sequence[Automaton],
     col_tabs = [tables.setdefault(id(a), ViableSymbols(a)) for a in col_autos]
     m, n = len(row_autos), len(col_autos)
     size = m * n
+    # The row entry of each first-column cell and the column entry of
+    # each first-row cell, from one keyed lookup each; every other cell's
+    # entries are links.
+    row_roots: list = [None] * size
+    col_roots: list = [None] * size
+    for i, (tab, states) in enumerate(zip(row_tabs, row_starts)):
+        row_roots[i * n] = tab.entry(states, None if open_rows else n - 1)
+    for j, (tab, states) in enumerate(zip(col_tabs, col_starts)):
+        col_roots[j] = tab.entry(states, m - 1)
     every = (1 << len(row_autos[0].alphabet)) - 1
     cells = [0] * size
     todo = [0] * size
-    row_succ: list = [None] * size
-    col_succ: list = [None] * size
-    row_sets: list = [None] * size
-    col_sets: list = [None] * size
+    rows: list = [None] * size
+    cols: list = [None] * size
     k, enter = 0, True
     while True:
         if enter:
-            i, j = divmod(k, n)
-            row_in = row_sets[k - 1] if j else row_starts[i]
-            mask, row_succ[k] = row_tabs[i].get(
-                row_in, None if open_rows else n - j - 1, every)
+            row = row_roots[k]
+            if row is None:
+                left, sym = rows[k - 1], cells[k - 1]
+                row = left.links[sym] or row_tabs[k // n].link(left, sym)
+            rows[k] = row
+            mask = row.viable
+            if row.unstepped:
+                mask = row_tabs[k // n].among(row, every)
             if mask:
-                col_in = col_sets[k - n] if i else col_starts[j]
-                mask, col_succ[k] = col_tabs[j].get(col_in, m - i - 1, mask)
+                col = col_roots[k]
+                if col is None:
+                    up, sym = cols[k - n], cells[k - n]
+                    col = up.links[sym] or col_tabs[k % n].link(up, sym)
+                cols[k] = col
+                if mask & col.unstepped:
+                    mask = col_tabs[k % n].among(col, mask)
+                else:
+                    mask &= col.viable
         else:
             mask = todo[k]
         if not mask:
@@ -115,15 +139,12 @@ def _fill(row_autos: Sequence[Automaton], col_autos: Sequence[Automaton],
             k, enter = k - 1, False
             continue
         low = mask & -mask
-        sym = low.bit_length() - 1
         todo[k] = mask ^ low
-        cells[k] = sym
-        row_sets[k] = row_succ[k][sym]
-        col_sets[k] = col_succ[k][sym]
+        cells[k] = low.bit_length() - 1
         if k + 1 < size:
             k, enter = k + 1, True
         else:
-            yield cells, row_sets
+            yield cells, rows
             enter = False
 
 
@@ -227,9 +248,9 @@ def decide_unbounded_width(rows: Sequence[Regex], col_expr: Regex) -> WidthResul
     tables: dict[int, ViableSymbols] = {}
     while queue:
         profile, depth = queue.popleft()
-        for column, ends in _fill(row_autos, [col_auto], profile, col_start,
-                                  open_rows=True, tables=tables):
-            nxt = tuple(ends)
+        for column, entries in _fill(row_autos, [col_auto], profile, col_start,
+                                     open_rows=True, tables=tables):
+            nxt = tuple(e.succ[sym] for e, sym in zip(entries, column))
             if all(a.accepts(s) for a, s in zip(row_autos, nxt)):
                 return WidthResult(True, depth + 1, rebuild(profile, tuple(column)))
             if nxt not in parents:

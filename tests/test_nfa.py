@@ -115,13 +115,31 @@ def test_viable_symbols_per_key_and_lazy():
     table = ViableSymbols(auto)
     start = auto.start_set()
     # The same state set is a different key for each count of cells left.
-    mask, succ = table.get(start, 0, 0b01)
-    assert mask == 0 and succ[1] is None    # symbol 1 not asked, not stepped
-    assert table.get(start, 0, 0b11)[0] == 0b10
-    assert table.get(start, 1, 0b11)[0] == 0b11
-    assert table.get(start, None, 0b11)[0] == 0b11
-    mask, succ = table.get(start, 1, 0b10)
-    assert mask == 0b10 and succ[1] == auto.step(start, 1)
+    zero = table.entry(start, 0)
+    assert table.among(zero, 0b01) == 0 and zero.succ[1] is None    # 1 not asked, not stepped
+    assert table.among(zero, 0b11) == 0b10
+    assert table.among(table.entry(start, 1), 0b11) == 0b11
+    assert table.among(table.entry(start, None), 0b11) == 0b11
+    one = table.entry(start, 1)
+    assert table.among(one, 0b10) == 0b10 and one.succ[1] == auto.step(start, 1)
+
+
+def test_viable_symbols_links_successor_entries():
+    auto = compile_regex(parse("(0|1)*1", AB))
+    table = ViableSymbols(auto)
+    start = auto.start_set()
+    root = table.entry(start, 2)
+    assert table.entry(start, 2) is root
+    assert table.among(root, 0b11) == 0b11 and root.links == [None, None]
+    # A link is the entry of (successor, one symbol fewer), made on first
+    # traversal and shared with the keyed lookup of the same pair.
+    after_1 = table.link(root, 1)
+    assert root.links[1] is after_1 is table.entry(auto.step(start, 1), 1)
+    assert root.links[0] is None
+    # With no count of symbols left, the successor keeps None.
+    open_root = table.entry(start, None)
+    table.among(open_root, 0b01)
+    assert table.link(open_root, 0) is table.entry(auto.step(start, 0), None)
 
 
 def test_enumerate_language_long_words():

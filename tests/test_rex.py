@@ -1,9 +1,14 @@
 """Regex layer: parsing, printing, positivity, homomorphisms."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rxc
 from rxc.nfa import compile_regex, matches
 from rxc.rex import (
     Alphabet,
@@ -47,6 +52,20 @@ def test_parse_braced_marker_tokens():
     assert r.node.parts[3] == Plus(Lit(MARKERS.symbol("[B]")))
 
 
+def test_parse_braced_tokens_without_asserts():
+    # Under python -O assert statements are stripped; the lexer must not
+    # rely on one to consume the opening brace.
+    code = ("from rxc.rex import Alphabet, format_regex, parse; "
+            "print(format_regex(parse('{ab}c', Alphabet(('ab', 'c')))))")
+    src = str(Path(rxc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "{ab}c"
+
+
 def test_parse_intersection():
     r = parse("0*&1*", AB)
     from rxc.rex import Inter, Star
@@ -62,6 +81,23 @@ def test_parse_errors_carry_positions():
     with pytest.raises(UnknownSymbolError) as err:
         parse("02", AB)
     assert err.value.token == "2"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("0 1 ) ", RegexSyntaxError, "unexpected ')' (at position 4)"),
+    ("(0 # note\n)) # x", RegexSyntaxError, "unexpected ')' (at position 11)"),
+    ("0 | # trailing comment", RegexSyntaxError, "unexpected end of input (at position 22)"),
+    ("0 # c\n|  # another\n", RegexSyntaxError, "unexpected end of input (at position 19)"),
+    ("# only", RegexSyntaxError, "unexpected end of input (at position 6)"),
+    ("0  \t x", UnknownSymbolError, "unknown symbol 'x' (at position 5)"),
+    ("(0  # c\n  {zz}1)", UnknownSymbolError, "unknown symbol 'zz' (at position 10)"),
+    ("0 { ab}", UnknownSymbolError, "unknown symbol ' ab' (at position 2)"),
+    ("0 {", RegexSyntaxError, "unterminated '{' token (at position 2)"),
+])
+def test_parse_error_positions_next_to_whitespace_and_comments(text, error, message):
+    with pytest.raises(error) as err:
+        parse(text, AB)
+    assert str(err.value) == message
 
 
 def test_parse_nesting_limit():
