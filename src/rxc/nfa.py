@@ -4,8 +4,9 @@ Intersection-free trees compile to a single flat NFA via the classic
 inductive construction.  Intersections become product automata: when an
 intersection sits at the top of the tree (possibly under unions) the
 product stays implicit, with one state set tracked per operand; when an
-intersection is nested under concatenation or a closure operator, an
-explicit reachable-state product is built and embedded.
+intersection is nested under concatenation or a closure operator, the
+explicit reachable-state product of its operands, trimmed to the states
+that can reach acceptance, takes their place.
 
 State sets are integer bitmasks for flat automata and tuples of child
 sets for the implicit composites.  A flat set holds only kernel states:
@@ -44,6 +45,7 @@ from .rex import (
     Star,
     Symbol,
     Union,
+    _fold,
     symbols,
 )
 
@@ -80,6 +82,9 @@ class Nfa:
         self.labeled_edges = frozenset(labeled_edges)
         if not 0 <= start < state_count:
             raise ValueError(f"start state {start} out of range")
+        for s in self.accepting:
+            if not 0 <= s < state_count:
+                raise ValueError(f"accepting state {s} out of range")
         for s, t in self.epsilon_edges:
             if not (0 <= s < state_count and 0 <= t < state_count):
                 raise ValueError(f"epsilon edge {(s, t)} out of range")
@@ -351,103 +356,93 @@ class ViableSymbols:
 
 # --- compilation -------------------------------------------------------------
 
-def _contains_inter(node: Node, memo: dict[int, bool] | None = None) -> bool:
-    if memo is None:
-        memo = {}
-    got = memo.get(id(node))
-    if got is not None:
-        return got
-    if isinstance(node, Inter):
-        out = True
-    elif isinstance(node, (Concat, Union)):
-        out = any(_contains_inter(p, memo) for p in node.parts)
-    elif isinstance(node, (Star, Plus, Opt)):
-        out = _contains_inter(node.body, memo)
-    else:
-        out = False
-    memo[id(node)] = out
-    return out
+def _contains_inter(node: Node) -> bool:
+    return _fold(node, lambda n, kids: isinstance(n, Inter) or any(kids))
 
 
 class _Builder:
+    """Thompson's construction, one fragment per node in post-order.
+
+    A fragment is (first, entry, exit): its states run from ``first``
+    to ``exit``, the last state it allocates, and its edges are the last
+    ones added.  A nested intersection replaces its parts' fragments by
+    their explicit product.
+    """
+
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
         self.count = 0
         self.eps: list[tuple[int, int]] = []
         self.lab: list[tuple[int, int, int]] = []
 
-    def fresh(self) -> int:
+    def fragment(self, node: Node, kids: Sequence[tuple[int, int, int]]) -> tuple[int, int, int]:
         s = self.count
-        self.count += 1
-        return s
-
-    def fragment(self, node: Node) -> tuple[int, int]:
-        if isinstance(node, Eps):
-            s, t = self.fresh(), self.fresh()
-            self.eps.append((s, t))
-            return s, t
         if isinstance(node, Lit):
-            s, t = self.fresh(), self.fresh()
-            self.lab.append((s, node.sym.id, t))
-            return s, t
+            self.count = s + 2
+            self.lab.append((s, node.sym.id, s + 1))
+            return s, s, s + 1
         if isinstance(node, Concat):
-            first_s, prev_t = self.fragment(node.parts[0])
-            for p in node.parts[1:]:
-                s, t = self.fragment(p)
-                self.eps.append((prev_t, s))
-                prev_t = t
-            return first_s, prev_t
-        if isinstance(node, Union):
-            s, t = self.fresh(), self.fresh()
-            for p in node.parts:
-                ps, pt = self.fragment(p)
-                self.eps.append((s, ps))
-                self.eps.append((pt, t))
-            return s, t
-        if isinstance(node, Star):
-            bs, bt = self.fragment(node.body)
-            s, t = self.fresh(), self.fresh()
-            self.eps.extend([(s, bs), (bt, t), (s, t), (bt, bs)])
-            return s, t
-        if isinstance(node, Plus):
-            bs, bt = self.fragment(node.body)
-            s, t = self.fresh(), self.fresh()
-            self.eps.extend([(s, bs), (bt, t), (bt, bs)])
-            return s, t
-        if isinstance(node, Opt):
-            bs, bt = self.fragment(node.body)
-            s, t = self.fresh(), self.fresh()
-            self.eps.extend([(s, bs), (bt, t), (s, t)])
-            return s, t
+            eps = self.eps
+            for (_, _, exit_state), (_, entry, _) in zip(kids, kids[1:]):
+                eps.append((exit_state, entry))
+            return kids[0][0], kids[0][1], kids[-1][2]
         if isinstance(node, Inter):
-            flat = flatten(compile_regex(Regex(node, self.alphabet)))
-            return self.embed(flat)
-        raise TypeError(f"unknown node {node!r}")
+            return self.product(kids)
+        t = s + 1
+        self.count = s + 2
+        if isinstance(node, Union):
+            eps = self.eps
+            for _, ps, pt in kids:
+                eps.append((s, ps))
+                eps.append((pt, t))
+        elif isinstance(node, (Star, Plus, Opt)):
+            _, bs, bt = kids[0]
+            self.eps.extend([(s, bs), (bt, t)])
+            if not isinstance(node, Opt):
+                self.eps.append((bt, bs))  # repeat
+            if not isinstance(node, Plus):
+                self.eps.append((s, t))  # skip
+        elif isinstance(node, Eps):
+            self.eps.append((s, t))
+            return s, s, t
+        else:
+            raise TypeError(f"unknown node {node!r}")
+        return kids[0][0], s, t
 
-    def embed(self, sub: Nfa) -> tuple[int, int]:
-        base = self.count
-        self.count += sub.state_count
-        for s, t in sub.epsilon_edges:
-            self.eps.append((base + s, base + t))
-        for s, a, t in sub.labeled_edges:
-            self.lab.append((base + s, a, base + t))
-        exit_state = self.fresh()
-        for s in sub.accepting:
-            self.eps.append((base + s, exit_state))
-        return base + sub.start, exit_state
-
-    def finish(self, start: int, accept: int) -> Nfa:
-        return Nfa(self.alphabet, self.count, start, [accept], self.eps, self.lab)
+    def product(self, kids: Sequence[tuple[int, int, int]]) -> tuple[int, int, int]:
+        """Take the parts' fragments, the last states and edges built,
+        out of the automaton and put their explicit product in place."""
+        first = kids[0][0]
+        eps, lab = self.eps, self.lab
+        i, j = len(eps), len(lab)
+        while i and eps[i - 1][0] >= first:
+            i -= 1
+        while j and lab[j - 1][0] >= first:
+            j -= 1
+        sub = _explicit_product([
+            Nfa(self.alphabet, self.count, s, [t], [e for e in eps[i:] if lo <= e[0] <= t],
+                [e for e in lab[j:] if lo <= e[0] <= t])
+            for lo, s, t in kids
+        ], self.alphabet)
+        del eps[i:], lab[j:]
+        eps.extend((first + u, first + v) for u, v in sub.epsilon_edges)
+        lab.extend((first + u, a, first + v) for u, a, v in sub.labeled_edges)
+        exit_state = self.count = first + sub.state_count
+        eps.extend((first + u, exit_state) for u in sub.accepting)
+        self.count += 1
+        return first, first + sub.start, exit_state
 
 
 def _thompson(node: Node, alphabet: Alphabet) -> Nfa:
     b = _Builder(alphabet)
-    s, t = b.fragment(node)
-    return b.finish(s, t)
+    # Unshared: every occurrence of a repeated subtree needs its own states.
+    _, start, accept = _fold(node, b.fragment, shared=False)
+    return Nfa(alphabet, b.count, start, [accept], b.eps, b.lab)
 
 
 def _explicit_product(children: Sequence[Nfa], alphabet: Alphabet) -> Nfa:
-    """Reachable synchronous product with pairwise epsilon interleaving."""
+    """Reachable synchronous product with pairwise epsilon interleaving,
+    trimmed to the states that can reach acceptance."""
     start = tuple(c.start for c in children)
     index = {start: 0}
     order = [start]
@@ -496,7 +491,27 @@ def _explicit_product(children: Sequence[Nfa], alphabet: Alphabet) -> Nfa:
         i for i, u in enumerate(order)
         if all(u[j] in c.accepting for j, c in enumerate(children))
     ]
-    return Nfa(alphabet, len(order), 0, accepting, eps, lab)
+    # Keep the states that can reach acceptance, in their order: a state
+    # that cannot would put symbols that lead nowhere into read masks.
+    into: list[list[int]] = [[] for _ in order]
+    for s, t in eps:
+        into[t].append(s)
+    for s, _, t in lab:
+        into[t].append(s)
+    alive = set(accepting)
+    todo = list(alive)
+    while todo:
+        for s in into[todo.pop()]:
+            if s not in alive:
+                alive.add(s)
+                todo.append(s)
+    if 0 not in alive:
+        return Nfa(alphabet, 1, 0, [], [], [])
+    new = {s: i for i, s in enumerate(sorted(alive))}
+    # The source of an edge into a kept state is kept too.
+    return Nfa(alphabet, len(new), 0, [new[s] for s in accepting],
+               [(new[s], new[t]) for s, t in eps if t in new],
+               [(new[s], a, new[t]) for s, a, t in lab if t in new])
 
 
 def _disjoint_union(children: Sequence[Nfa], alphabet: Alphabet) -> Nfa:

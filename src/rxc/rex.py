@@ -23,7 +23,7 @@ with an operator) are written in braces, e.g. ``{[B,q0]}``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union as TUnion
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union as TUnion
 
 RESERVED_CHARS = frozenset("|&*+?(){}_#")
 
@@ -274,48 +274,78 @@ def symbols(alphabet: Alphabet, w: TUnion[str, Sequence[TUnion[str, Symbol]]]) -
     return tuple(out)
 
 
+# --- tree folds ----------------------------------------------------------------
+
+T = TypeVar("T")
+_NARY = (Concat, Union, Inter)
+_INNER = _NARY + (Star, Plus, Opt)
+
+
+def _fold(root: Node, visit: Callable[[Node, Sequence[T]], T], shared: bool = True) -> T:
+    """Fold the tree under ``root`` bottom-up, on an explicit stack.
+
+    ``visit(node, kids)`` gets the values of the node's children, in
+    order, and returns the node's value; no walk recurses, however deep
+    the tree.  With ``shared``, an inner node met again (the same
+    object: the constructors, ``apply_homomorphism`` and the reductions
+    reuse subtrees) is visited once and its value reused.  Without it
+    every occurrence is visited and no value is kept once its parent
+    has it, for walks that must not share a value or need not keep one.
+    """
+    memo: dict[int, T] = {}
+    out: list[T] = []
+    # One frame per inner node being folded: the node, an iterator over
+    # its children and the values of those done.  The first frame has no
+    # node; its one child is the root.
+    frames: list = [(None, iter((root,)), out)]
+    while frames:
+        node, todo, kids = frames[-1]
+        for child in todo:
+            if not isinstance(child, _INNER):
+                kids.append(visit(child, ()))
+            elif shared and id(child) in memo:
+                kids.append(memo[id(child)])
+            else:
+                parts = child.parts if isinstance(child, _NARY) else (child.body,)
+                frames.append((child, iter(parts), []))
+                break
+        else:
+            frames.pop()
+            if frames:
+                value = visit(node, kids)
+                if shared:
+                    memo[id(node)] = value
+                frames[-1][2].append(value)
+    return out[0]
+
+
 # --- structural predicates --------------------------------------------------
 
-def _nullable(node: Node) -> bool:
-    if isinstance(node, Eps):
-        return True
+def _nullable(node: Node, kids: Sequence[bool]) -> bool:
     if isinstance(node, Lit):
         return False
-    if isinstance(node, Concat):
-        return all(_nullable(p) for p in node.parts)
+    if isinstance(node, (Concat, Inter, Plus)):
+        return all(kids)
     if isinstance(node, Union):
-        return any(_nullable(p) for p in node.parts)
-    if isinstance(node, Inter):
-        return all(_nullable(p) for p in node.parts)
-    if isinstance(node, (Star, Opt)):
+        return any(kids)
+    if isinstance(node, (Eps, Star, Opt)):
         return True
-    if isinstance(node, Plus):
-        return _nullable(node.body)
     raise TypeError(f"unknown node {node!r}")
 
 
 def is_positive(r: Regex) -> bool:
     """True iff the empty string does not match ``r``."""
-    return not _nullable(r.node)
+    return not _fold(r.node, _nullable)
 
 
 def used_symbols(r: Regex) -> set[Symbol]:
-    seen: set[int] = set()
     out: set[Symbol] = set()
 
-    def walk(node: Node) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
+    def visit(node: Node, kids) -> None:
         if isinstance(node, Lit):
             out.add(node.sym)
-        elif isinstance(node, (Concat, Union, Inter)):
-            for p in node.parts:
-                walk(p)
-        elif isinstance(node, (Star, Plus, Opt)):
-            walk(node.body)
 
-    walk(r.node)
+    _fold(r.node, visit)
     return out
 
 
@@ -339,50 +369,35 @@ def apply_homomorphism(
             raise ValueError(f"image of {sym.token!r} is empty")
         replacement[sym] = Lit(toks[0]) if len(toks) == 1 else Concat(tuple(Lit(t) for t in toks))
 
-    memo: dict[int, Node] = {}
-
-    def walk(node: Node) -> Node:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
+    def visit(node: Node, kids: Sequence[Node]) -> Node:
         if isinstance(node, Eps):
-            new: Node = node
-        elif isinstance(node, Lit):
+            return node
+        if isinstance(node, Lit):
             try:
-                new = replacement[node.sym]
+                return replacement[node.sym]
             except KeyError:
                 raise ValueError(f"no image for symbol {node.sym.token!r}") from None
-        elif isinstance(node, Concat):
+        if isinstance(node, Concat):
             parts: list[Node] = []
-            for p in node.parts:
-                q = walk(p)
+            for q in kids:
                 if isinstance(q, Concat):
                     parts.extend(q.parts)
                 else:
                     parts.append(q)
-            new = Concat(tuple(parts))
-        elif isinstance(node, Union):
-            new = Union(tuple(walk(p) for p in node.parts))
-        elif isinstance(node, Inter):
-            new = Inter(tuple(walk(p) for p in node.parts))
-        elif isinstance(node, Star):
-            new = Star(walk(node.body))
-        elif isinstance(node, Plus):
-            new = Plus(walk(node.body))
-        elif isinstance(node, Opt):
-            new = Opt(walk(node.body))
-        else:
-            raise TypeError(f"unknown node {node!r}")
-        memo[id(node)] = new
-        return new
+            return Concat(tuple(parts))
+        if isinstance(node, (Union, Inter)):
+            return type(node)(tuple(kids))
+        if isinstance(node, (Star, Plus, Opt)):
+            return type(node)(kids[0])
+        raise TypeError(f"unknown node {node!r}")
 
-    return Regex(walk(r.node), target)
+    return Regex(_fold(r.node, visit), target)
 
 
 # --- direct membership (reference semantics) --------------------------------
 
 def regex_matches(r: Regex, w: TUnion[str, Sequence[TUnion[str, Symbol]]]) -> bool:
-    """Membership by structural recursion on the AST.
+    """Membership by structural induction on the AST.
 
     Independent of the automata layer; used as the reference oracle and
     for cheap checks on very large expression trees.  Cost grows with
@@ -390,8 +405,7 @@ def regex_matches(r: Regex, w: TUnion[str, Sequence[TUnion[str, Symbol]]]) -> bo
     """
     wsyms = symbols(r.alphabet, w)
     n = len(wsyms)
-    full = (0, n)
-    memo: dict[int, frozenset[tuple[int, int]]] = {}
+    eps_spans = frozenset((i, i) for i in range(n + 1))
 
     def join(a: frozenset, b: frozenset) -> frozenset:
         by_start: dict[int, list[int]] = {}
@@ -404,7 +418,7 @@ def regex_matches(r: Regex, w: TUnion[str, Sequence[TUnion[str, Symbol]]]) -> bo
         return frozenset(out)
 
     def closure(body: frozenset) -> frozenset:
-        spans = set((i, i) for i in range(n + 1))
+        spans = set(eps_spans)
         frontier = set(spans)
         while frontier:
             new = set()
@@ -416,40 +430,30 @@ def regex_matches(r: Regex, w: TUnion[str, Sequence[TUnion[str, Symbol]]]) -> bo
             frontier = new
         return frozenset(spans)
 
-    def spans(node: Node) -> frozenset:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
+    def spans(node: Node, kids: Sequence[frozenset]) -> frozenset:
+        """The (start, end) pairs of the subwords ``node`` matches."""
         if isinstance(node, Eps):
-            s = frozenset((i, i) for i in range(n + 1))
-        elif isinstance(node, Lit):
-            s = frozenset((i, i + 1) for i in range(n) if wsyms[i] == node.sym)
-        elif isinstance(node, Concat):
-            s = spans(node.parts[0])
-            for p in node.parts[1:]:
-                s = join(s, spans(p))
-        elif isinstance(node, Union):
-            acc: set = set()
-            for p in node.parts:
-                acc |= spans(p)
-            s = frozenset(acc)
-        elif isinstance(node, Inter):
-            s = spans(node.parts[0])
-            for p in node.parts[1:]:
-                s = s & spans(p)
-        elif isinstance(node, Star):
-            s = closure(spans(node.body))
-        elif isinstance(node, Plus):
-            body = spans(node.body)
-            s = join(body, closure(body))
-        elif isinstance(node, Opt):
-            s = spans(node.body) | frozenset((i, i) for i in range(n + 1))
-        else:
-            raise TypeError(f"unknown node {node!r}")
-        memo[id(node)] = s
-        return s
+            return eps_spans
+        if isinstance(node, Lit):
+            return frozenset((i, i + 1) for i in range(n) if wsyms[i] == node.sym)
+        if isinstance(node, Concat):
+            s = kids[0]
+            for k in kids[1:]:
+                s = join(s, k)
+            return s
+        if isinstance(node, Union):
+            return frozenset().union(*kids)
+        if isinstance(node, Inter):
+            return frozenset.intersection(*kids)
+        if isinstance(node, Star):
+            return closure(kids[0])
+        if isinstance(node, Plus):
+            return join(kids[0], closure(kids[0]))
+        if isinstance(node, Opt):
+            return kids[0] | eps_spans
+        raise TypeError(f"unknown node {node!r}")
 
-    return full in spans(r.node)
+    return (0, n) in _fold(r.node, spans)
 
 
 # --- printing ----------------------------------------------------------------
@@ -464,42 +468,33 @@ def _token_text(sym: Symbol) -> str:
     return "{" + t + "}"
 
 
+def _render(node: Node, kids: Sequence[tuple[str, int]]) -> tuple[str, int]:
+    """The text of ``node`` and its precedence, from its children's."""
+    if isinstance(node, Eps):
+        return "_", _PREC_POSTFIX
+    if isinstance(node, Lit):
+        return _token_text(node.sym), _PREC_POSTFIX
+    if isinstance(node, (Star, Plus, Opt)):
+        op = "*" if isinstance(node, Star) else "+" if isinstance(node, Plus) else "?"
+        body, prec = kids[0]
+        return (body if prec == _PREC_POSTFIX else "(" + body + ")") + op, _PREC_POSTFIX
+    if isinstance(node, Union):
+        sep, outer = "|", _PREC_UNION
+    elif isinstance(node, Inter):
+        sep, outer = "&", _PREC_INTER
+    elif isinstance(node, Concat):
+        sep, outer = "", _PREC_CONCAT
+    else:
+        raise TypeError(f"unknown node {node!r}")
+    return sep.join(text if prec >= outer else "(" + text + ")" for text, prec in kids), outer
+
+
 def format_regex(r: Regex) -> str:
     """Render with canonical parenthesisation; reparses to an equal AST."""
-    memo: dict[int, tuple[str, int]] = {}
-
-    def render(node: Node) -> tuple[str, int]:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Eps):
-            out = ("_", _PREC_POSTFIX)
-        elif isinstance(node, Lit):
-            out = (_token_text(node.sym), _PREC_POSTFIX)
-        elif isinstance(node, Union):
-            out = ("|".join(_child(p, _PREC_UNION) for p in node.parts), _PREC_UNION)
-        elif isinstance(node, Inter):
-            out = ("&".join(_child(p, _PREC_INTER) for p in node.parts), _PREC_INTER)
-        elif isinstance(node, Concat):
-            out = ("".join(_child(p, _PREC_CONCAT) for p in node.parts), _PREC_CONCAT)
-        elif isinstance(node, (Star, Plus, Opt)):
-            op = "*" if isinstance(node, Star) else "+" if isinstance(node, Plus) else "?"
-            body, prec = render(node.body)
-            if prec < _PREC_POSTFIX:
-                body = "(" + body + ")"
-            out = (body + op, _PREC_POSTFIX)
-        else:
-            raise TypeError(f"unknown node {node!r}")
-        memo[id(node)] = out
-        return out
-
-    def _child(node: Node, parent_prec: int) -> str:
-        text, prec = render(node)
-        if prec < parent_prec:
-            return "(" + text + ")"
-        return text
-
-    return render(r.node)[0]
+    # Unshared: a shared subtree's text is copied into each parent anyway,
+    # and keeping every subtree's text would take memory quadratic in the
+    # depth of the tree.
+    return _fold(r.node, _render, shared=False)[0]
 
 
 # --- parsing ------------------------------------------------------------------
@@ -554,65 +549,47 @@ MAX_NESTING = 200
 _TOO_DEEP = f"nested too deeply (more than {MAX_NESTING} levels)"
 
 
-def _build(make, kind: type, parts: list[tuple[Regex, int]]) -> tuple[Regex, int]:
-    """Join two or more parts with ``make`` and return the result with its
-    depth, one more than its deepest part's."""
-    nodes, depths = zip(*parts)
-    r = make(nodes)
-    if len(r.node.parts) == len(nodes):
-        return r, max(depths) + 1
-    # A part of the same kind was spliced into the new node: it adds no level.
-    return r, 1 + max(d - isinstance(p.node, kind) for p, d in parts)
-
-
 def parse(text: str, alphabet: Alphabet) -> Regex:
     """Parse regex text over the given alphabet.
 
     The parser keeps one frame per open parenthesis on an explicit
-    stack.  An open parenthesis, a postfix operator and a union,
-    intersection or concatenation node each nest one level: more than
-    ``MAX_NESTING`` levels around any atom raise ``RegexSyntaxError``,
-    because the walks over the tree (compiling, printing, reference
-    matching) recurse once per level.
+    stack.  More than ``MAX_NESTING`` open parentheses raise
+    ``RegexSyntaxError``; this bounds the input only.  Postfix chains
+    and operator nesting are not limited: every walk over the tree runs
+    on an explicit stack, whatever its depth.
     """
     lx = _Lexer(text)
     # Per open group: the union and intersection operands finished so
-    # far and the factors of the concatenation being read, each with
-    # the depth of its tree.
+    # far and the factors of the concatenation being read.
     stack: list[tuple[list, list, list]] = []
-    unions: list[tuple[Regex, int]] = []
-    inters: list[tuple[Regex, int]] = []
-    factors: list[tuple[Regex, int]] = []
-    level = 0
+    unions: list[Regex] = []
+    inters: list[Regex] = []
+    factors: list[Regex] = []
     while True:
         c = lx.peek()
         if c is None or c in "|&)":
             if not factors:
                 what = "end of input" if c is None else repr(c)
                 raise RegexSyntaxError(f"unexpected {what}", lx.pos)
-            inters.append(factors[0] if len(factors) == 1 else _build(concat, Concat, factors))
+            inters.append(factors[0] if len(factors) == 1 else concat(factors))
             factors = []
             if c == "&":
                 lx.take()
                 continue
-            unions.append(inters[0] if len(inters) == 1 else _build(inter, Inter, inters))
+            unions.append(inters[0] if len(inters) == 1 else inter(inters))
             inters = []
             if c == "|":
                 lx.take()
                 continue
-            r, level = unions[0] if len(unions) == 1 else _build(union_, Union, unions)
+            r = unions[0] if len(unions) == 1 else union_(unions)
             if c is None:
                 if stack:
                     raise RegexSyntaxError("expected ')'", lx.pos)
-                if level > MAX_NESTING:
-                    raise RegexSyntaxError(_TOO_DEEP, lx.pos)
                 return r
             if not stack:
                 raise RegexSyntaxError("unexpected ')'", lx.pos)
             lx.take()
             unions, inters, factors = stack.pop()
-            if len(stack) + level > MAX_NESTING:
-                raise RegexSyntaxError(_TOO_DEEP, lx.pos)
         elif c == "(":
             if len(stack) == MAX_NESTING:
                 raise RegexSyntaxError(_TOO_DEEP, lx.pos)
@@ -646,9 +623,5 @@ def parse(text: str, alphabet: Alphabet) -> Regex:
                 r = opt(r)
             else:
                 break
-            level += 1
-            if len(stack) + level > MAX_NESTING:
-                raise RegexSyntaxError(_TOO_DEEP, lx.pos)
             lx.take()
-        factors.append((r, level))
-        level = 0
+        factors.append(r)

@@ -15,7 +15,7 @@ from rxc.nfa import (
     matches,
     step,
 )
-from rxc.rex import Alphabet, parse, regex_matches
+from rxc.rex import Alphabet, concat, format_regex, lit, parse, regex_matches, star, word
 
 from util import AB, ABC, all_words, random_regex
 
@@ -29,6 +29,9 @@ def test_matches_examples():
 def test_nfa_rejects_out_of_range_start():
     with pytest.raises(ValueError):
         Nfa(AB, 2, 2, [1], [], [(0, 0, 1)])
+    for accepting in ([5], [-1]):
+        with pytest.raises(ValueError, match="accepting state"):
+            Nfa(AB, 2, 0, accepting, [(0, 1)], [(1, 0, 0)])
 
 
 def test_compile_union_small():
@@ -91,6 +94,27 @@ def test_sets_hold_only_reading_or_accepting_states():
                 if nxt not in seen:
                     seen.add(nxt)
                     todo.append(nxt)
+
+
+def test_explicit_products_keep_only_states_that_can_accept():
+    # 00 and 01 share no word, so the product nested under the star has
+    # no state that can accept, and no symbol leads anywhere.
+    auto = compile_regex(parse("(00&01)*", AB))
+    assert isinstance(auto, Nfa)
+    assert auto.readable(auto.start_set()) == 0
+    assert enumerate_language(auto, 4) == [""]
+
+
+def test_repeated_subtrees_get_their_own_states():
+    # x occurs twice; a compile that gave both occurrences the same
+    # states would loop from the second back into the first and accept
+    # "11".
+    x = star(word(AB, "01"))
+    r = concat([x, lit(AB, "1"), x])
+    auto, reparsed = compile_regex(r), compile_regex(parse(format_regex(r), AB))
+    for n in range(7):
+        for w in all_words(AB, n):
+            assert matches(auto, w) == regex_matches(r, w) == matches(reparsed, w), w
 
 
 def test_is_empty_examples():

@@ -8,7 +8,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from rxc.nfa import Nfa, compile_regex, enumerate_language, matches
+from rxc.nfa import Nfa, ProductAuto, compile_regex, enumerate_language, flatten, matches
 from rxc.oracle import brute_force_crosswords
 from rxc.puzzle import Puzzle
 from rxc.rex import format_regex, parse, regex_matches, union_, word
@@ -86,6 +86,13 @@ def test_unreadable_symbols_step_to_dead_sets(case):
                 assert readable == sum({1 << a for s, a, _ in auto.labeled_edges if states >> s & 1})
                 if intersection_free:
                     assert not any(auto.is_dead(auto.step(states, a)) for a in syms if readable >> a & 1)
+            if isinstance(auto, ProductAuto):
+                # An explicit product keeps only states that can accept, so
+                # no symbol it reads is dead.
+                flat = flatten(auto)
+                for states in _sets_within(flat, 4):
+                    readable = flat.readable(states)
+                    assert not any(flat.is_dead(flat.step(states, a)) for a in syms if readable >> a & 1)
 
 
 @st.composite

@@ -10,9 +10,11 @@ import pytest
 
 import rxc
 from rxc.nfa import compile_regex, matches
+from rxc.reductions.binary import binarize_expr
 from rxc.rex import (
     Alphabet,
     Concat,
+    Inter,
     Lit,
     Plus,
     RegexSyntaxError,
@@ -21,13 +23,16 @@ from rxc.rex import (
     apply_homomorphism,
     concat,
     format_regex,
+    inter,
     is_positive,
     lit,
+    opt,
     parse,
     plus,
     regex_matches,
     star,
     union_,
+    used_symbols,
     word,
 )
 
@@ -113,37 +118,109 @@ def test_parse_nesting_limit():
         parse("(" * 201 + "0" + ")" * 201, AB)
 
 
-def test_parse_postfix_chain_limit():
-    # Each postfix operator wraps the tree one level deeper, as an open
-    # parenthesis does.
-    with pytest.raises(RegexSyntaxError, match="nested too deeply"):
-        parse("0" + "*" * 3000, AB)
-    # Operators on a group count on top of those inside it.
-    with pytest.raises(RegexSyntaxError, match="nested too deeply"):
-        parse("(" * 100 + "0" + ")***" * 100, AB)
-    r = parse("0" + "*" * 150, AB)
-    assert parse(format_regex(r), AB) == r
-    assert matches(compile_regex(r), "00")
-    assert regex_matches(r, "00")
+def _round_trips_and_matches(r, words):
+    """``r`` prints, reparses to the same text and compiles, and the
+    compiled automaton agrees with the reference matcher on ``words``."""
+    text = format_regex(r)
+    assert format_regex(parse(text, AB)) == text
+    auto = compile_regex(r)
+    assert [matches(auto, w) for w in words] == [regex_matches(r, w) for w in words]
 
 
-def test_parse_tree_depth_limit():
+def test_parse_long_postfix_chain():
+    # Postfix operators count toward no limit: no walk over the tree
+    # recurses, so a chain of any length parses, prints and compiles.
+    words = [w for n in range(4) for w in all_words(AB, n)]
+    r = parse("0" + "*" * 3000, AB)
+    assert format_regex(r) == "0" + "*" * 3000
+    _round_trips_and_matches(r, words)
+    assert regex_matches(r, "000") and not regex_matches(r, "01")
+    r = parse("(" * 100 + "0" + ")***" * 100, AB)
+    _round_trips_and_matches(r, words)
+
+
+def test_parse_deep_operator_nesting():
     # Each level of "(0|0&0" adds a union, an intersection and a
-    # concatenation node to the tree, and each counts as a level.
+    # concatenation node; only the parentheses count toward MAX_NESTING.
     def nested(levels):
         return "(0|0&0" * levels + "0" + ")" * levels
 
-    with pytest.raises(RegexSyntaxError, match="nested too deeply"):
-        parse(nested(100), AB)
-    with pytest.raises(RegexSyntaxError, match="nested too deeply"):
-        parse(nested(67), AB)
-    r = parse(nested(66), AB)  # 198 levels
-    assert parse(format_regex(r), AB) == r
-    assert matches(compile_regex(r), "0")
-    assert regex_matches(r, "0")
+    words = [w for n in range(4) for w in all_words(AB, n)]
+    for levels in (100, 67):
+        r = parse(nested(levels), AB)
+        _round_trips_and_matches(r, words)
+        assert regex_matches(r, "0") and not regex_matches(r, "1")
     # A group of the same kind is spliced into its parent and adds none.
     flat = parse("(" * 150 + "01" + ")0" * 150, AB)
     assert isinstance(flat.node, Concat) and len(flat.node.parts) == 152
+
+
+LEVELS = 10_000
+
+
+def _deep_tree():
+    """A tree LEVELS levels deep, built through the API, with an
+    intersection at the root and a small one about halfway down."""
+    zero, one = lit(AB, "0"), lit(AB, "1")
+    r = zero
+    # The chain runs down the leftmost operands, so that after a symbol
+    # the epsilon-closure meets the next literal within a few states and
+    # the automaton's tables stay small.
+    for level in range(1, LEVELS - 1):
+        if level == LEVELS // 2 + 1:
+            r = concat([r, inter([star(zero), opt(word(AB, "00"))])])
+        elif level % 3 == 0:
+            r = concat([r, one])
+        elif level % 3 == 1:
+            r = union_([r, zero])
+        else:
+            r = opt(r)
+    return inter([r, concat([one, star(union_([zero, one]))])])
+
+
+def _depth(node):
+    deepest, todo = 0, [(node, 1)]
+    while todo:
+        node, d = todo.pop()
+        deepest = max(deepest, d)
+        kids = getattr(node, "parts", None) or ((node.body,) if hasattr(node, "body") else ())
+        todo.extend((k, d + 1) for k in kids)
+    return deepest
+
+
+def test_walks_on_a_deep_tree_built_through_the_api(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the library must not raise the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert sys.getrecursionlimit() < LEVELS
+    r = _deep_tree()
+    assert _depth(r.node) == LEVELS
+    assert isinstance(r.node, Inter)
+    # Its text opens thousands of groups, more than MAX_NESTING.
+    with pytest.raises(RegexSyntaxError, match="nested too deeply"):
+        parse(format_regex(r), AB)
+    chain = lit(AB, "0")
+    for level in range(1, LEVELS):
+        chain = (star, opt, plus)[level % 3](chain)
+    assert _depth(chain.node) == LEVELS
+    # Compared as text: == on nodes recurses once per level.
+    text = format_regex(chain)
+    assert format_regex(parse(text, AB)) == text
+
+    words = [w for n in range(5) for w in all_words(AB, n)]
+    auto = compile_regex(r)
+    accepted = [matches(auto, w) for w in words]
+    assert accepted == [regex_matches(r, w) for w in words]
+    assert any(accepted) and not all(accepted)
+    assert matches(compile_regex(chain), "000") and regex_matches(chain, "000")
+
+    assert is_positive(r) and not is_positive(opt(r)) and not is_positive(chain)
+    assert used_symbols(r) == set(AB.symbols)
+    swap = {AB.symbol("0"): "1", AB.symbol("1"): "0"}
+    swapped = apply_homomorphism(r, swap, AB)
+    assert format_regex(swapped) == format_regex(r).translate(str.maketrans("01", "10"))
+    assert is_positive(binarize_expr(2, r))
 
 
 def test_parse_comments_and_whitespace():
