@@ -87,6 +87,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_enum(args) -> int:
+    if args.cap is not None and args.cap < 1:
+        raise UsageError("--cap must be at least 1")
     puzzle = read_puzzle(args.puzzle)
     m, n = _dims(puzzle, args)
     grids = enumerate_grids(puzzle, m, n, cap=args.cap)

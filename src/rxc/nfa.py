@@ -1,12 +1,13 @@
 """Epsilon-NFAs compiled from regex trees.
 
-Intersection-free trees compile to a single flat NFA via the classic
-inductive construction.  Intersections become product automata: when an
-intersection sits at the top of the tree (possibly under unions) the
-product stays implicit, with one state set tracked per operand; when an
-intersection is nested under concatenation or a closure operator, the
-explicit reachable-state product of its operands, trimmed to the states
-that can reach acceptance, takes their place.
+One rule picks the automaton.  An intersection at the root is an
+implicit product (``ProductAuto``) of its parts' flat automata, with
+one state set tracked per part; a union at the root with an
+intersection among its parts is an implicit union (``UnionAuto``) of
+its parts' automata; every other tree compiles to one flat NFA by the
+classic inductive construction.  Inside a flat NFA a nested
+intersection becomes the explicit reachable-state product of its
+parts, trimmed to the states that can reach acceptance.
 
 State sets are integer bitmasks for flat automata and tuples of child
 sets for the implicit composites.  A flat set holds only kernel states:
@@ -60,9 +61,8 @@ def _bits(mask: int) -> Iterator[int]:
 class Nfa:
     """Flat epsilon-NFA over symbol ids, stepping bitmasks of kernel states.
 
-    The tables are built on first use, with closures taken only from the
-    start state and the labelled-edge targets; an operand automaton that
-    is only embedded or flattened never builds them.
+    The constructor builds the stepping tables, with closures taken only
+    from the start state and the labelled-edge targets.
     """
 
     def __init__(
@@ -91,14 +91,8 @@ class Nfa:
         for s, a, t in self.labeled_edges:
             if not (0 <= s < state_count and 0 <= t < state_count and 0 <= a < len(alphabet)):
                 raise ValueError(f"labelled edge {(s, a, t)} out of range")
-        self._prepared = False
 
-    # -- derived tables, built once on first use ----------------------
-
-    def _prepare(self) -> None:
-        if self._prepared:
-            return
-        n = self.state_count
+        n = state_count
         eps_adj: list[list[int]] = [[] for _ in range(n)]
         for s, t in self.epsilon_edges:
             eps_adj[s].append(t)
@@ -141,16 +135,13 @@ class Nfa:
         self._start_set = closures[self.start]
         self._reach_layers = [self._accept_mask]
         self._reach_any: int | None = None
-        self._prepared = True
 
     # -- stepping ------------------------------------------------------
 
     def start_set(self) -> int:
-        self._prepare()
         return self._start_set
 
     def step(self, states: int, sym_id: int) -> int:
-        self._prepare()
         out = 0
         trans = self._trans
         for s in _bits(states & self._src[sym_id]):
@@ -159,7 +150,6 @@ class Nfa:
 
     def readable(self, states: int) -> int:
         """Mask of the symbols some state in ``states`` has an edge on."""
-        self._prepare()
         out = 0
         reads = self._reads
         for s in _bits(states):
@@ -170,7 +160,6 @@ class Nfa:
         return states == 0
 
     def accepts(self, states: int) -> bool:
-        self._prepare()
         return bool(states & self._accept_mask)
 
     def _preds_of(self, layer: int) -> int:
@@ -183,7 +172,6 @@ class Nfa:
     def reach_in(self, steps: int | None) -> int:
         """Mask of states with some accepting path of exactly ``steps``
         symbols, or of any length when ``steps`` is None."""
-        self._prepare()
         if steps is None:
             if self._reach_any is None:
                 alive = frontier = self._accept_mask
@@ -356,10 +344,6 @@ class ViableSymbols:
 
 # --- compilation -------------------------------------------------------------
 
-def _contains_inter(node: Node) -> bool:
-    return _fold(node, lambda n, kids: isinstance(n, Inter) or any(kids))
-
-
 class _Builder:
     """Thompson's construction, one fragment per node in post-order.
 
@@ -419,18 +403,19 @@ class _Builder:
             i -= 1
         while j and lab[j - 1][0] >= first:
             j -= 1
-        sub = _explicit_product([
-            Nfa(self.alphabet, self.count, s, [t], [e for e in eps[i:] if lo <= e[0] <= t],
-                [e for e in lab[j:] if lo <= e[0] <= t])
-            for lo, s, t in kids
-        ], self.alphabet)
+        # Each part as (start, accepting state, its edges): the edges
+        # whose source lies in its fragment.
+        parts = [(s, t, [e for e in eps[i:] if lo <= e[0] <= t],
+                  [e for e in lab[j:] if lo <= e[0] <= t]) for lo, s, t in kids]
+        count, final, sub_eps, sub_lab = _explicit_product(parts, len(self.alphabet))
         del eps[i:], lab[j:]
-        eps.extend((first + u, first + v) for u, v in sub.epsilon_edges)
-        lab.extend((first + u, a, first + v) for u, a, v in sub.labeled_edges)
-        exit_state = self.count = first + sub.state_count
-        eps.extend((first + u, exit_state) for u in sub.accepting)
-        self.count += 1
-        return first, first + sub.start, exit_state
+        eps.extend((first + u, first + v) for u, v in sub_eps)
+        lab.extend((first + u, a, first + v) for u, a, v in sub_lab)
+        exit_state = first + count
+        self.count = exit_state + 1
+        if final is not None:
+            eps.append((first + final, exit_state))
+        return first, first, exit_state
 
 
 def _thompson(node: Node, alphabet: Alphabet) -> Nfa:
@@ -440,31 +425,39 @@ def _thompson(node: Node, alphabet: Alphabet) -> Nfa:
     return Nfa(alphabet, b.count, start, [accept], b.eps, b.lab)
 
 
-def _explicit_product(children: Sequence[Nfa], alphabet: Alphabet) -> Nfa:
+def _explicit_product(
+    parts: Sequence[tuple[int, int, list[tuple[int, int]], list[tuple[int, int, int]]]],
+    nsyms: int,
+) -> tuple[int, int | None, list[tuple[int, int]], list[tuple[int, int, int]]]:
     """Reachable synchronous product with pairwise epsilon interleaving,
-    trimmed to the states that can reach acceptance."""
-    start = tuple(c.start for c in children)
+    trimmed to the states that can reach acceptance.
+
+    Each part is (start, accepting state, epsilon edges, labelled
+    edges).  The product is (state count, accepting state or None,
+    epsilon edges, labelled edges), with start state 0.
+    """
+    start = tuple(p[0] for p in parts)
     index = {start: 0}
     order = [start]
     eps: list[tuple[int, int]] = []
     lab: list[tuple[int, int, int]] = []
     eps_adj = []
     lab_adj = []
-    for c in children:
+    for _, _, part_eps, part_lab in parts:
         ea: dict[int, list[int]] = {}
-        for s, t in c.epsilon_edges:
+        for s, t in part_eps:
             ea.setdefault(s, []).append(t)
         la: dict[tuple[int, int], list[int]] = {}
-        for s, a, t in c.labeled_edges:
+        for s, a, t in part_lab:
             la.setdefault((s, a), []).append(t)
         eps_adj.append(ea)
         lab_adj.append(la)
     queue = deque([start])
-    nsyms = len(alphabet)
+    width = len(parts)
     while queue:
         u = queue.popleft()
         ui = index[u]
-        for i, c in enumerate(children):
+        for i in range(width):
             for t in eps_adj[i].get(u[i], ()):
                 v = u[:i] + (t,) + u[i + 1:]
                 vi = index.get(v)
@@ -474,7 +467,7 @@ def _explicit_product(children: Sequence[Nfa], alphabet: Alphabet) -> Nfa:
                     queue.append(v)
                 eps.append((ui, vi))
         for a in range(nsyms):
-            targets = [lab_adj[i].get((u[i], a)) for i in range(len(children))]
+            targets = [lab_adj[i].get((u[i], a)) for i in range(width)]
             if any(t is None for t in targets):
                 continue
             combos = [()]
@@ -487,10 +480,7 @@ def _explicit_product(children: Sequence[Nfa], alphabet: Alphabet) -> Nfa:
                     order.append(v)
                     queue.append(v)
                 lab.append((ui, a, vi))
-    accepting = [
-        i for i, u in enumerate(order)
-        if all(u[j] in c.accepting for j, c in enumerate(children))
-    ]
+    final = index.get(tuple(p[1] for p in parts))
     # Keep the states that can reach acceptance, in their order: a state
     # that cannot would put symbols that lead nowhere into read masks.
     into: list[list[int]] = [[] for _ in order]
@@ -498,7 +488,7 @@ def _explicit_product(children: Sequence[Nfa], alphabet: Alphabet) -> Nfa:
         into[t].append(s)
     for s, _, t in lab:
         into[t].append(s)
-    alive = set(accepting)
+    alive = set() if final is None else {final}
     todo = list(alive)
     while todo:
         for s in into[todo.pop()]:
@@ -506,59 +496,30 @@ def _explicit_product(children: Sequence[Nfa], alphabet: Alphabet) -> Nfa:
                 alive.add(s)
                 todo.append(s)
     if 0 not in alive:
-        return Nfa(alphabet, 1, 0, [], [], [])
+        return 1, None, [], []
     new = {s: i for i, s in enumerate(sorted(alive))}
     # The source of an edge into a kept state is kept too.
-    return Nfa(alphabet, len(new), 0, [new[s] for s in accepting],
-               [(new[s], new[t]) for s, t in eps if t in new],
-               [(new[s], a, new[t]) for s, a, t in lab if t in new])
-
-
-def _disjoint_union(children: Sequence[Nfa], alphabet: Alphabet) -> Nfa:
-    count = 1
-    eps: list[tuple[int, int]] = []
-    lab: list[tuple[int, int, int]] = []
-    accepting: list[int] = []
-    for c in children:
-        base = count
-        count += c.state_count
-        eps.append((0, base + c.start))
-        eps.extend((base + s, base + t) for s, t in c.epsilon_edges)
-        lab.extend((base + s, a, base + t) for s, a, t in c.labeled_edges)
-        accepting.extend(base + s for s in c.accepting)
-    return Nfa(alphabet, count, 0, accepting, eps, lab)
-
-
-def flatten(auto: Automaton) -> Nfa:
-    """Collapse composites into one flat NFA (explicit product / sum)."""
-    if isinstance(auto, Nfa):
-        return auto
-    if isinstance(auto, ProductAuto):
-        return _explicit_product(auto.children, auto.alphabet)
-    return _disjoint_union([flatten(c) for c in auto.children], auto.alphabet)
+    return (len(new), new[final],
+            [(new[s], new[t]) for s, t in eps if t in new],
+            [(new[s], a, new[t]) for s, a, t in lab if t in new])
 
 
 def compile_regex(r: Regex) -> Automaton:
     """Compile to an automaton with the same language.
 
-    Product states are kept implicit for intersections at the top of
-    the tree; nested intersections are expanded into explicit reachable
-    products, which stay polynomial in the operand sizes.
+    An intersection at the root stays an implicit product of its parts'
+    automata, and a union at the root with an intersection among its
+    parts an implicit union; everything else, nested intersections
+    included, compiles to one flat automaton, where each intersection
+    becomes the explicit reachable product of its parts, which stays
+    polynomial in the operand sizes.
     """
-    node = r.node
+    node, alphabet = r.node, r.alphabet
     if isinstance(node, Inter):
-        flats = tuple(flatten(compile_regex(Regex(p, r.alphabet))) for p in node.parts)
-        return ProductAuto(flats)
-    if isinstance(node, Union) and _contains_inter(node):
-        children: list[TUnion[Nfa, ProductAuto]] = []
-        for p in node.parts:
-            sub = compile_regex(Regex(p, r.alphabet))
-            if isinstance(sub, UnionAuto):
-                children.extend(sub.children)
-            else:
-                children.append(sub)
-        return UnionAuto(tuple(children))
-    return _thompson(node, r.alphabet)
+        return ProductAuto(tuple(_thompson(p, alphabet) for p in node.parts))
+    if isinstance(node, Union) and any(isinstance(p, Inter) for p in node.parts):
+        return UnionAuto(tuple(compile_regex(Regex(p, alphabet)) for p in node.parts))
+    return _thompson(node, alphabet)
 
 
 # --- queries -------------------------------------------------------------------
@@ -584,43 +545,30 @@ def step(auto: Automaton, states, sym: TUnion[Symbol, str, int]):
     return auto.step(states, sym_id)
 
 
-def _joint_states(auto: Automaton) -> list[Nfa]:
-    if isinstance(auto, Nfa):
-        return [auto]
-    if isinstance(auto, ProductAuto):
-        return list(auto.children)
-    raise TypeError("joint search expects a flat or product automaton")
-
-
-def _product_nonempty(children: Sequence[Nfa], allowed: Iterable[int] | None) -> bool:
-    """Lazy BFS over joint states; True iff a common word is accepted."""
-    for c in children:
-        c._prepare()
-    syms = list(range(len(children[0].alphabet))) if allowed is None else list(allowed)
-    starts = [list(_bits(c.start_set())) for c in children]
-    queue: deque[tuple[int, ...]] = deque()
-    seen: set[tuple[int, ...]] = set()
+def _state_tuples(masks: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every tuple of one state from each mask."""
     combos: list[tuple[int, ...]] = [()]
-    for group in starts:
-        combos = [c0 + (s,) for c0 in combos for s in group]
-    for u in combos:
-        if u not in seen:
-            seen.add(u)
-            queue.append(u)
+    for mask in masks:
+        combos = [c + (s,) for c in combos for s in _bits(mask)]
+    return combos
+
+
+def _product_nonempty(children: Sequence[Nfa], allowed: Sequence[int]) -> bool:
+    """Lazy BFS over joint states; True iff a common word over the
+    ``allowed`` symbols is accepted."""
+    ids = range(len(children))
+    queue = deque(_state_tuples([c.start_set() for c in children]))
+    seen = set(queue)
     acc_masks = [c._accept_mask for c in children]
     while queue:
         u = queue.popleft()
-        if all((1 << u[i]) & acc_masks[i] for i in range(len(children))):
+        if all(1 << u[i] & acc_masks[i] for i in ids):
             return True
-        for a in syms:
-            targets = [children[i]._trans[u[i]].get(a, 0) for i in range(len(children))]
-            if any(t == 0 for t in targets):
+        for a in allowed:
+            targets = [children[i]._trans[u[i]].get(a, 0) for i in ids]
+            if 0 in targets:
                 continue
-            groups = [list(_bits(t)) for t in targets]
-            combos = [()]
-            for g in groups:
-                combos = [c0 + (s,) for c0 in combos for s in g]
-            for v in combos:
+            for v in _state_tuples(targets):
                 if v not in seen:
                     seen.add(v)
                     queue.append(v)
@@ -629,30 +577,16 @@ def _product_nonempty(children: Sequence[Nfa], allowed: Iterable[int] | None) ->
 
 def is_empty(auto: Automaton) -> bool:
     """True iff the automaton accepts no word at all."""
-    if isinstance(auto, Nfa):
-        return not auto.feasible(auto.start_set(), None)
-    if isinstance(auto, UnionAuto):
-        return all(is_empty(c) for c in auto.children)
-    return not _product_nonempty(_joint_states(auto), None)
+    return is_empty_restricted(auto, range(len(auto.alphabet)))
 
 
 def is_empty_restricted(auto: Automaton, allowed_ids: Iterable[int]) -> bool:
     """Emptiness of the language intersected with ``allowed_ids``-only words."""
     allowed = sorted(set(allowed_ids))
-    if isinstance(auto, Nfa):
-        auto._prepare()
-        reach = auto.start_set()
-        frontier = reach
-        while frontier:
-            grown = 0
-            for a in allowed:
-                grown |= auto.step(frontier, a)
-            frontier = grown & ~reach
-            reach |= grown
-        return not auto.accepts(reach)
     if isinstance(auto, UnionAuto):
         return all(is_empty_restricted(c, allowed) for c in auto.children)
-    return not _product_nonempty(_joint_states(auto), allowed)
+    children = auto.children if isinstance(auto, ProductAuto) else (auto,)
+    return not _product_nonempty(children, allowed)
 
 
 def enumerate_language(auto: Automaton, max_len: int) -> list[str]:

@@ -113,47 +113,104 @@ class Alphabet:
 # --- AST nodes ------------------------------------------------------------
 
 class Node:
+    """A tree node.  Equality, hashing and ``repr`` walk the tree on an
+    explicit stack, so they work at any depth."""
+
     __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Node):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if isinstance(a, _NARY):
+                if len(a.parts) != len(b.parts):
+                    return False
+                todo.extend(zip(a.parts, b.parts))
+            elif isinstance(a, _UNARY):
+                todo.append((a.body, b.body))
+            elif isinstance(a, Lit) and a.sym != b.sym:
+                return False
+        return True
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self) -> int:
+        return _fold(self, _hash_node)
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        # Nodes still to print, and the text that closes each one.
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, Lit):
+                out.append(f"Lit(sym={item.sym!r})")
+            elif isinstance(item, _UNARY):
+                out.append(f"{type(item).__name__}(body=")
+                todo += [")", item.body]
+            elif isinstance(item, _NARY):
+                out.append(f"{type(item).__name__}(parts=(")
+                todo.append(",))" if len(item.parts) == 1 else "))")
+                for i, part in enumerate(reversed(item.parts)):
+                    todo += [", ", part] if i else [part]
+            else:
+                out.append(f"{type(item).__name__}()")
+        return "".join(out)
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Eps(Node):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Lit(Node):
     sym: Symbol
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Concat(Node):
     parts: tuple[Node, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Union(Node):
     parts: tuple[Node, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Inter(Node):
     parts: tuple[Node, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Star(Node):
     body: Node
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Plus(Node):
     body: Node
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Opt(Node):
     body: Node
+
+
+_NARY = (Concat, Union, Inter)
+_UNARY = (Star, Plus, Opt)
+_INNER = _NARY + _UNARY
+
+
+def _hash_node(node: Node, kids: Sequence[int]) -> int:
+    return hash((node.__class__, node.sym if isinstance(node, Lit) else tuple(kids)))
 
 
 @dataclass(frozen=True)
@@ -277,8 +334,6 @@ def symbols(alphabet: Alphabet, w: TUnion[str, Sequence[TUnion[str, Symbol]]]) -
 # --- tree folds ----------------------------------------------------------------
 
 T = TypeVar("T")
-_NARY = (Concat, Union, Inter)
-_INNER = _NARY + (Star, Plus, Opt)
 
 
 def _fold(root: Node, visit: Callable[[Node, Sequence[T]], T], shared: bool = True) -> T:

@@ -167,6 +167,8 @@ def _grids(puzzle: Puzzle, m: int, n: int) -> Iterator[Grid]:
 
 def enumerate_grids(puzzle: Puzzle, m: int, n: int, cap: int | None = None) -> list[Grid]:
     """All solutions in row-major lexicographic order, truncated at ``cap``."""
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be nonnegative")
     return list(islice(_grids(puzzle, m, n), cap))
 
 

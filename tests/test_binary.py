@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from rxc.grids import Grid
 from rxc.nfa import compile_regex, enumerate_language, matches
@@ -21,7 +22,7 @@ from rxc.reductions import (
 from rxc.rex import Alphabet, is_positive, parse
 from rxc.solver import verify
 
-from util import AB, random_regex
+from util import AB, grids, random_regex
 
 FIVE = Alphabet(("0", "1", "2", "3", "4"))
 
@@ -81,16 +82,13 @@ def test_psi_dimensions():
     assert (y2.m, y2.n) == (46, 61)
 
 
-def test_psi_roundtrip_random():
-    rng = random.Random(13)
-    for _ in range(25):
-        k = rng.choice([2, 3])
-        alpha = Alphabet(tuple(str(i) for i in range(k)))
-        m, n = rng.randint(1, 3), rng.randint(1, 3)
-        g = Grid(alpha, tuple(tuple(rng.randrange(k) for _ in range(n)) for _ in range(m)))
-        y = psi_encode(k, g)
-        assert psi_decode(k, y, alpha).cells == g.cells
-        assert y.m == 3 * k * (m + 1) + 1 and y.n == 3 * k * (n + 1) + 1
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(grids([Alphabet(tuple("abcd"[:k])) for k in (2, 3, 4)], 1, 3))
+def test_psi_roundtrip_random(g):
+    k = len(g.alphabet)
+    y = psi_encode(k, g)
+    assert psi_decode(k, y, g.alphabet) == g
+    assert y.m == 3 * k * (g.m + 1) + 1 and y.n == 3 * k * (g.n + 1) + 1
 
 
 def test_psi_preserves_squareness():

@@ -8,6 +8,7 @@ from rxc.machines import demo_machine
 from rxc.oracle import dump_dimacs
 from rxc.puzzle import dump_puzzle, parse_puzzle, read_puzzle, uniform_puzzle
 from rxc.rex import Alphabet, parse
+from rxc.solver import enumerate_grids
 from rxc.turing import dump_machine
 
 from util import AB, formula
@@ -44,6 +45,17 @@ def test_enum_cap(puzzle_file, capsys):
     assert run(["enum", puzzle_file, "-m", "2", "-n", "2", "--cap", "1"]) == 0
     out = capsys.readouterr().out
     assert out.count("2 2") == 1
+    # A cap below 1 is a usage error, not a "no solution".
+    for cap in ("0", "-1"):
+        assert run(["enum", puzzle_file, "-m", "2", "-n", "2", "--cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --cap must be at least 1"]
+    # The library takes 0 (no grid) and refuses a negative cap itself.
+    puzzle = read_puzzle(puzzle_file)
+    assert enumerate_grids(puzzle, 2, 2, cap=0) == []
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        enumerate_grids(puzzle, 2, 2, cap=-1)
 
 
 def test_plural_verb(tmp_path):

@@ -6,18 +6,30 @@ import pytest
 
 from rxc.nfa import (
     Nfa,
+    ProductAuto,
+    UnionAuto,
     ViableSymbols,
     compile_regex,
     enumerate_language,
-    flatten,
     is_empty,
     is_empty_restricted,
     matches,
     step,
 )
-from rxc.rex import Alphabet, concat, format_regex, lit, parse, regex_matches, star, word
+from rxc.rex import (
+    Alphabet,
+    Inter,
+    Union,
+    concat,
+    format_regex,
+    lit,
+    parse,
+    regex_matches,
+    star,
+    word,
+)
 
-from util import AB, ABC, all_words, random_regex
+from util import AB, ABC, all_words, flat_automaton, random_regex
 
 
 def test_matches_examples():
@@ -80,7 +92,7 @@ def test_sets_hold_only_reading_or_accepting_states():
     rng = random.Random(11)
     for k in range(200):
         alphabet = (AB, ABC)[k % 2]
-        auto = flatten(compile_regex(random_regex(rng, alphabet, depth=4)))
+        auto = flat_automaton(random_regex(rng, alphabet, depth=4))
         kernel = 0
         for s in {s for s, _, _ in auto.labeled_edges} | auto.accepting:
             kernel |= 1 << s
@@ -94,6 +106,30 @@ def test_sets_hold_only_reading_or_accepting_states():
                 if nxt not in seen:
                     seen.add(nxt)
                     todo.append(nxt)
+
+
+def test_compile_rule_on_random_trees():
+    # Only an intersection at the root, or among the parts of a union at
+    # the root, makes an implicit composite; all else compiles flat.
+    rng = random.Random(5)
+    kinds = set()
+    for k in range(300):
+        r = random_regex(rng, (AB, ABC)[k % 2], depth=4)
+        auto = compile_regex(r)
+        kinds.add(type(auto))
+        roots = r.node.parts if isinstance(r.node, Union) else (r.node,)
+        if not any(isinstance(p, Inter) for p in roots):
+            assert isinstance(auto, Nfa)
+        if isinstance(auto, UnionAuto):
+            assert any(isinstance(c, ProductAuto) for c in auto.children)
+        for c in (auto, *getattr(auto, "children", ())):
+            if isinstance(c, ProductAuto):
+                assert all(isinstance(part, Nfa) for part in c.children)
+        # The joint search agrees with the backward reach of the same
+        # language compiled flat.
+        flat = flat_automaton(r)
+        assert is_empty(auto) == (not flat.feasible(flat.start_set(), None))
+    assert kinds == {Nfa, ProductAuto, UnionAuto}
 
 
 def test_explicit_products_keep_only_states_that_can_accept():

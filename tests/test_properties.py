@@ -8,10 +8,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from rxc.nfa import Nfa, ProductAuto, compile_regex, enumerate_language, flatten, matches
+from rxc.nfa import Nfa, compile_regex, enumerate_language, matches
 from rxc.oracle import brute_force_crosswords
 from rxc.puzzle import Puzzle
-from rxc.rex import format_regex, parse, regex_matches, union_, word
+from rxc.rex import Inter, Regex, Union, format_regex, parse, regex_matches, union_, word
 from rxc.solver import (
     count_grids,
     decide_unbounded_width,
@@ -21,7 +21,7 @@ from rxc.solver import (
     verify,
 )
 
-from util import AB, ABC, all_words, random_regex
+from util import AB, ABC, all_words, flat_automaton, random_regex
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -75,8 +75,8 @@ def _sets_within(auto, steps):
 def test_unreadable_symbols_step_to_dead_sets(case):
     r, _ = case
     intersection_free = "&" not in format_regex(r)
+    syms = range(len(r.alphabet))
     for auto in _parts(compile_regex(r)):
-        syms = range(len(auto.alphabet))
         for states in _sets_within(auto, 4):
             readable = auto.readable(states)
             assert all(auto.is_dead(auto.step(states, a)) for a in syms if not readable >> a & 1)
@@ -86,13 +86,14 @@ def test_unreadable_symbols_step_to_dead_sets(case):
                 assert readable == sum({1 << a for s, a, _ in auto.labeled_edges if states >> s & 1})
                 if intersection_free:
                     assert not any(auto.is_dead(auto.step(states, a)) for a in syms if readable >> a & 1)
-            if isinstance(auto, ProductAuto):
-                # An explicit product keeps only states that can accept, so
-                # no symbol it reads is dead.
-                flat = flatten(auto)
-                for states in _sets_within(flat, 4):
-                    readable = flat.readable(states)
-                    assert not any(flat.is_dead(flat.step(states, a)) for a in syms if readable >> a & 1)
+    # An explicit product keeps only states that can accept, so no symbol
+    # it reads is dead: checked on each implicit product made explicit.
+    for node in r.node.parts if isinstance(r.node, Union) else (r.node,):
+        if isinstance(node, Inter):
+            flat = flat_automaton(Regex(node, r.alphabet))
+            for states in _sets_within(flat, 4):
+                readable = flat.readable(states)
+                assert not any(flat.is_dead(flat.step(states, a)) for a in syms if readable >> a & 1)
 
 
 @st.composite

@@ -119,10 +119,9 @@ def test_parse_nesting_limit():
 
 
 def _round_trips_and_matches(r, words):
-    """``r`` prints, reparses to the same text and compiles, and the
+    """``r`` prints, reparses to an equal tree and compiles, and the
     compiled automaton agrees with the reference matcher on ``words``."""
-    text = format_regex(r)
-    assert format_regex(parse(text, AB)) == text
+    assert parse(format_regex(r), AB) == r
     auto = compile_regex(r)
     assert [matches(auto, w) for w in words] == [regex_matches(r, w) for w in words]
 
@@ -158,11 +157,12 @@ def test_parse_deep_operator_nesting():
 LEVELS = 10_000
 
 
-def _deep_tree():
+def _deep_tree(bottom="0"):
     """A tree LEVELS levels deep, built through the API, with an
-    intersection at the root and a small one about halfway down."""
+    intersection at the root and a small one about halfway down; its
+    deepest leaf is ``bottom``."""
     zero, one = lit(AB, "0"), lit(AB, "1")
-    r = zero
+    r = lit(AB, bottom)
     # The chain runs down the leftmost operands, so that after a symbol
     # the epsilon-closure meets the next literal within a few states and
     # the automaton's tables stay small.
@@ -204,9 +204,14 @@ def test_walks_on_a_deep_tree_built_through_the_api(monkeypatch):
     for level in range(1, LEVELS):
         chain = (star, opt, plus)[level % 3](chain)
     assert _depth(chain.node) == LEVELS
-    # Compared as text: == on nodes recurses once per level.
-    text = format_regex(chain)
-    assert format_regex(parse(text, AB)) == text
+    assert parse(format_regex(chain), AB) == chain
+
+    # Equality, hashing and repr walk the tree without recursing.
+    same, other = _deep_tree(), _deep_tree(bottom="1")
+    assert r == same and hash(r) == hash(same) and repr(r) == repr(same)
+    assert r != other and repr(r) != repr(other)
+    assert len({r, same, other}) == 2
+    assert repr(chain).count("(body=") == LEVELS - 1
 
     words = [w for n in range(5) for w in all_words(AB, n)]
     auto = compile_regex(r)

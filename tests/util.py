@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
+from rxc.grids import Grid
+from rxc.nfa import Nfa, compile_regex
 from rxc.oracle import CnfFormula, GraphInstance
 from rxc.puzzle import Puzzle, uniform_puzzle
 from rxc.rex import (
@@ -45,6 +49,23 @@ def random_regex(rng: random.Random, alphabet: Alphabet, depth: int,
                        for _ in range(width)])
     body = random_regex(rng, alphabet, depth - 1, allow_intersection)
     return {"star": star, "plus": plus, "opt": opt}[op](body)
+
+
+def flat_automaton(r: Regex) -> Nfa:
+    """``r`` compiled to one flat automaton: followed by epsilon, no
+    intersection sits at the root, so each becomes an explicit product."""
+    auto = compile_regex(concat([r, epsilon(r.alphabet)]))
+    assert isinstance(auto, Nfa)
+    return auto
+
+
+@st.composite
+def grids(draw, alphabets, min_side: int, max_side: int) -> Grid:
+    """A grid over one of ``alphabets`` with sides in [min_side, max_side]."""
+    alphabet = draw(st.sampled_from(alphabets))
+    m = draw(st.integers(min_side, max_side))
+    row = st.tuples(*[st.integers(0, len(alphabet) - 1)] * draw(st.integers(min_side, max_side)))
+    return Grid(alphabet, tuple(draw(st.lists(row, min_size=m, max_size=m))))
 
 
 def random_puzzle(rng: random.Random, max_symbols: int = 3, depth: int = 4) -> Puzzle:
