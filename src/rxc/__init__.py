@@ -31,7 +31,6 @@ from .rex import (
 from .nfa import (
     Nfa,
     ProductAuto,
-    UnionAuto,
     compile_regex,
     enumerate_language,
     is_empty,

@@ -137,6 +137,8 @@ def _cmd_decide_width(args) -> int:
             raise UsageError("pass -m (or fix rows in the file) for a uniform row expression")
         rows = [puzzle.rows] * m
     else:
+        if args.m is not None and args.m != len(puzzle.rows):
+            raise UsageError(f"-m {args.m} does not match the {len(puzzle.rows)} row expressions")
         rows = list(puzzle.rows)
     result = decide_unbounded_width(rows, puzzle.cols)
     if not result.exists:

@@ -1,16 +1,15 @@
 """Epsilon-NFAs compiled from regex trees.
 
-One rule picks the automaton.  An intersection at the root is an
-implicit product (``ProductAuto``) of its parts' flat automata, with
-one state set tracked per part; a union at the root with an
-intersection among its parts is an implicit union (``UnionAuto``) of
-its parts' automata; every other tree compiles to one flat NFA by the
-classic inductive construction.  Inside a flat NFA a nested
-intersection becomes the explicit reachable-state product of its
-parts, trimmed to the states that can reach acceptance.
+There are two automaton kinds, and one rule picks between them.  An
+intersection at the root is an implicit product (``ProductAuto``) of
+its parts' flat automata, with one state set tracked per part; every
+other tree compiles to one flat NFA (``Nfa``) by the classic inductive
+construction.  Inside a flat NFA a nested intersection becomes the
+explicit reachable-state product of its parts, trimmed to the states
+that can reach acceptance.
 
-State sets are integer bitmasks for flat automata and tuples of child
-sets for the implicit composites.  A flat set holds only kernel states:
+State sets are integer bitmasks for flat automata and tuples of part
+sets for products.  A flat set holds only kernel states:
 those with a labelled out-edge and the accepting states, taken from the
 epsilon-closure of the states reached.  The other states of a closure
 can neither read a symbol nor accept, so leaving them out changes no
@@ -230,39 +229,7 @@ class ProductAuto:
         return all(c.feasible(s, steps) for c, s in zip(self.children, states))
 
 
-@dataclass(frozen=True)
-class UnionAuto:
-    """Implicit union of automata (children may be flat or products)."""
-
-    children: tuple[TUnion[Nfa, ProductAuto], ...]
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.children[0].alphabet
-
-    def start_set(self):
-        return tuple(c.start_set() for c in self.children)
-
-    def step(self, states, sym_id: int):
-        return tuple(c.step(s, sym_id) for c, s in zip(self.children, states))
-
-    def readable(self, states) -> int:
-        out = 0
-        for c, s in zip(self.children, states):
-            out |= c.readable(s)
-        return out
-
-    def is_dead(self, states) -> bool:
-        return all(c.is_dead(s) for c, s in zip(self.children, states))
-
-    def accepts(self, states) -> bool:
-        return any(c.accepts(s) for c, s in zip(self.children, states))
-
-    def feasible(self, states, steps: int | None) -> bool:
-        return any(c.feasible(s, steps) for c, s in zip(self.children, states))
-
-
-Automaton = TUnion[Nfa, ProductAuto, UnionAuto]
+Automaton = TUnion[Nfa, ProductAuto]
 
 
 class ViableEntry:
@@ -507,18 +474,17 @@ def _explicit_product(
 def compile_regex(r: Regex) -> Automaton:
     """Compile to an automaton with the same language.
 
-    An intersection at the root stays an implicit product of its parts'
-    automata, and a union at the root with an intersection among its
-    parts an implicit union; everything else, nested intersections
-    included, compiles to one flat automaton, where each intersection
-    becomes the explicit reachable product of its parts, which stays
-    polynomial in the operand sizes.
+    An intersection at the root becomes a ``ProductAuto`` of its parts,
+    each compiled flat; everything else, nested intersections included,
+    compiles to one flat ``Nfa``, where each intersection becomes the
+    explicit reachable product of its parts, which stays polynomial in
+    the operand sizes.  A union of intersections is therefore flat;
+    write it as an intersection of unions, as ``squarify_col_expr``
+    does, to keep its parts implicit.
     """
     node, alphabet = r.node, r.alphabet
     if isinstance(node, Inter):
         return ProductAuto(tuple(_thompson(p, alphabet) for p in node.parts))
-    if isinstance(node, Union) and any(isinstance(p, Inter) for p in node.parts):
-        return UnionAuto(tuple(compile_regex(Regex(p, alphabet)) for p in node.parts))
     return _thompson(node, alphabet)
 
 
@@ -583,8 +549,6 @@ def is_empty(auto: Automaton) -> bool:
 def is_empty_restricted(auto: Automaton, allowed_ids: Iterable[int]) -> bool:
     """Emptiness of the language intersected with ``allowed_ids``-only words."""
     allowed = sorted(set(allowed_ids))
-    if isinstance(auto, UnionAuto):
-        return all(is_empty_restricted(c, allowed) for c in auto.children)
     children = auto.children if isinstance(auto, ProductAuto) else (auto,)
     return not _product_nonempty(children, allowed)
 

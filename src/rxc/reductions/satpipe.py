@@ -23,11 +23,13 @@ from functools import cached_property
 from ..grids import Grid
 from ..markers import MarkerAlphabet, marker_alphabet
 from ..oracle import CnfFormula
-from ..rex import Regex, concat, lit, union_
+from ..rex import Regex, concat, union_
 from ..turing import RunTrace, TuringMachine, simulate
 from .binary import binarize_expr
 from .merge import merge_rc
 from .tableau import (
+    _initial_state,
+    _sym,
     column_expression,
     pad_right_with_blanks,
     squarify_col_expr,
@@ -224,16 +226,16 @@ def sat_reduce(
 
     markers = marker_alphabet(machine)
     blank = machine.blank
-    q1 = machine.rules[(machine.start, blank)][0]
+    blank_cell = _sym(markers, markers.unscanned(blank))
     head = [
-        lit(markers.alphabet, f"<{blank}|{q1}>"),
-        lit(markers.alphabet, f"[{blank},{machine.start}]"),
+        _sym(markers, markers.transmission(blank, _initial_state(machine))),
+        _sym(markers, markers.scanned(blank, machine.start)),
     ]
-    head.extend(lit(markers.alphabet, f"[{c}]") for c in input_string)
-    head.append(lit(markers.alphabet, f"[{blank}]"))
-    bit_cell = union_([lit(markers.alphabet, "[0]"), lit(markers.alphabet, "[1]")])
+    head.extend(_sym(markers, markers.unscanned(c)) for c in input_string)
+    head.append(blank_cell)
+    bit_cell = union_([_sym(markers, markers.unscanned(b)) for b in "01"])
     head.extend([bit_cell] * k)
-    head.extend([lit(markers.alphabet, f"[{blank}]")] * (p - n - k - 3))
+    head.extend([blank_cell] * (p - n - k - 3))
     initial_row = concat(head)
     row_expr = union_([initial_row, transition_row_body(machine, markers)])
     col_expr = column_expression(machine, markers)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..grids import Grid
 from ..markers import MarkerAlphabet, marker_alphabet
-from ..rex import Regex, concat, lit, opt, plus, star, union_
+from ..rex import Inter, Regex, concat, inter, lit, opt, plus, star, union_
 from ..turing import LEFT, MachineError, TuringMachine
 
 
@@ -176,9 +176,17 @@ def column_expression(machine: TuringMachine,
 
 def squarify_col_expr(col_expr: Regex, machine: TuringMachine) -> Regex:
     """Also admit all-blank columns, so never-scanned padding cells are legal
-    and a square grid exists whenever any grid does."""
-    blank_marker = col_expr.alphabet.symbol(f"[{machine.blank}]")
-    return union_([col_expr, plus(lit(col_expr.alphabet, blank_marker.token))])
+    and a square grid exists whenever any grid does.
+
+    The blank columns B = ``[blank]+`` are added to each part of a root
+    intersection, by (S & W) | B = (S | B) & (W | B), so the result is
+    still an intersection at the root; any other expression gets the
+    plain union.
+    """
+    blanks = plus(lit(col_expr.alphabet, f"[{machine.blank}]"))
+    node = col_expr.node
+    parts = node.parts if isinstance(node, Inter) else (node,)
+    return inter([union_([Regex(p, col_expr.alphabet), blanks]) for p in parts])
 
 
 def pad_right_with_blanks(tableau: Grid, machine: TuringMachine, width: int) -> Grid:

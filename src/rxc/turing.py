@@ -294,6 +294,8 @@ def parse_machine(text: str) -> TuringMachine:
         key, _, value = line.partition("=")
         key_parts = key.split()
         value_parts = value.split()
+        if key_parts in (["blank"], ["start"], ["halt"]) and len(value_parts) != 1:
+            raise MachineError(f"line {lineno}: {key_parts[0]} needs exactly one value, not {line!r}")
         if key_parts == ["blank"]:
             (blank,) = value_parts
         elif key_parts == ["start"]:

@@ -73,6 +73,15 @@ def test_decide_width_verb(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "1"
     p.write_text("alphabet = 0 1\nR = 01\nR = 10\nC* = 00|11\n")
     assert run(["decide-width", str(p)]) == 1
+    # -m must agree with the row list: a usage error, not a 2-row answer
+    p.write_text("alphabet = 0 1\nR = 0\nR = 1\nC* = (0|1)*\n")
+    capsys.readouterr()
+    assert run(["decide-width", str(p), "-m", "2"]) == 0
+    capsys.readouterr()
+    assert run(["decide-width", str(p), "-m", "5"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: -m 5 does not match the 2 row expressions"]
 
 
 def test_usage_errors(tmp_path, puzzle_file):
@@ -115,6 +124,18 @@ def test_pipeline_composition(tmp_path):
     assert run(["verify", str(ppath), str(spath)]) == 0
     assert run(["tm", "tableau", str(mpath), "-w", "a", "--out", str(tpath)]) == 0
     assert spath.read_text() == tpath.read_text()
+
+
+def test_squarified_reduction_round_trip(tmp_path, capsys):
+    # The 6-row run padded with blank columns is the one 6x6 solution.
+    mpath = tmp_path / "demo.tm"
+    mpath.write_text(dump_machine(demo_machine()))
+    ppath = tmp_path / "square.rxc"
+    assert run(["tm", "reduce", str(mpath), "-w", "a", "--square", "--out", str(ppath)]) == 0
+    capsys.readouterr()
+    assert run(["count", str(ppath), "-m", "6", "-n", "6"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert run(["unique", str(ppath), "-m", "6", "-n", "6"]) == 0
 
 
 def test_merge_and_binarize_verbs(tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 from rxc.nfa import (
     Nfa,
     ProductAuto,
-    UnionAuto,
     ViableSymbols,
     compile_regex,
     enumerate_language,
@@ -19,7 +18,6 @@ from rxc.nfa import (
 from rxc.rex import (
     Alphabet,
     Inter,
-    Union,
     concat,
     format_regex,
     lit,
@@ -109,27 +107,23 @@ def test_sets_hold_only_reading_or_accepting_states():
 
 
 def test_compile_rule_on_random_trees():
-    # Only an intersection at the root, or among the parts of a union at
-    # the root, makes an implicit composite; all else compiles flat.
+    # Only an intersection at the root makes a product, and each of its
+    # parts compiles flat; all else compiles to one flat automaton.
     rng = random.Random(5)
     kinds = set()
     for k in range(300):
         r = random_regex(rng, (AB, ABC)[k % 2], depth=4)
         auto = compile_regex(r)
         kinds.add(type(auto))
-        roots = r.node.parts if isinstance(r.node, Union) else (r.node,)
-        if not any(isinstance(p, Inter) for p in roots):
+        if not isinstance(r.node, Inter):
             assert isinstance(auto, Nfa)
-        if isinstance(auto, UnionAuto):
-            assert any(isinstance(c, ProductAuto) for c in auto.children)
-        for c in (auto, *getattr(auto, "children", ())):
-            if isinstance(c, ProductAuto):
-                assert all(isinstance(part, Nfa) for part in c.children)
+        if isinstance(auto, ProductAuto):
+            assert all(isinstance(part, Nfa) for part in auto.children)
         # The joint search agrees with the backward reach of the same
         # language compiled flat.
         flat = flat_automaton(r)
         assert is_empty(auto) == (not flat.feasible(flat.start_set(), None))
-    assert kinds == {Nfa, ProductAuto, UnionAuto}
+    assert kinds == {Nfa, ProductAuto}
 
 
 def test_explicit_products_keep_only_states_that_can_accept():

@@ -2,9 +2,9 @@
 
 import pytest
 
-from rxc.machines import bouncing_machine, demo_machine
+from rxc.machines import bouncing_machine, demo_machine, overwriting_machine, zigzag_machine
 from rxc.markers import marker_alphabet
-from rxc.nfa import compile_regex, matches
+from rxc.nfa import Nfa, ProductAuto, compile_regex, enumerate_language, matches
 from rxc.puzzle import uniform_puzzle
 from rxc.reductions import (
     AssumptionError,
@@ -15,9 +15,11 @@ from rxc.reductions import (
     squarify_col_expr,
     transition_row_body,
 )
-from rxc.rex import format_regex, is_positive
+from rxc.rex import format_regex, is_positive, lit, plus, union_
 from rxc.solver import enumerate_grids, is_plural, verify
 from rxc.turing import TuringMachine, build_tableau, simulate
+
+from util import flat_automaton
 
 
 def test_marker_alphabet_size_and_classes():
@@ -134,6 +136,21 @@ def test_squarified_padding_verifies():
     auto = compile_regex(col)
     for k in range(1, 5):
         assert matches(auto, [mk.unscanned("B")] * k)
+
+
+@pytest.mark.parametrize("make", [demo_machine, overwriting_machine, zigzag_machine,
+                                  bouncing_machine])
+def test_squarified_column_is_the_union_with_blank_columns(make):
+    # The column is written (S | B) & (W | B); it must accept exactly
+    # (S & W) | B, here compiled to one flat automaton.
+    m = make()
+    mk = marker_alphabet(m)
+    col = column_expression(m, mk)
+    square = compile_regex(squarify_col_expr(col, m))
+    assert isinstance(square, ProductAuto)
+    assert all(isinstance(part, Nfa) for part in square.children)
+    union = flat_automaton(union_([col, plus(lit(mk.alphabet, "[B]"))]))
+    assert enumerate_language(square, 6) == enumerate_language(union, 6)
 
 
 def test_nonhalting_machine_has_no_grid_small_widths():

@@ -2,6 +2,8 @@
 
 import pytest
 
+from rxc.cli import run
+
 from rxc.machines import (
     bouncing_machine,
     demo_machine,
@@ -115,11 +117,22 @@ def test_machine_file_roundtrip():
     assert set(again.states) == set(m.states)
 
 
-def test_machine_validation():
+def test_machine_validation(tmp_path, capsys):
     with pytest.raises(MachineError):
         TuringMachine(("q0",), ("B",), "B", "q0", "q0", {})
     with pytest.raises(MachineError):
         TuringMachine(("q0", "qh"), ("B",), "B", "q0", "qh", {})  # missing rule
+    # a blank, start or halt line takes exactly one value; the error names the line
+    text = dump_machine(demo_machine())
+    assert text.startswith("blank = B\n")
+    for bad in ("blank = B C", "blank"):
+        path = tmp_path / "bad.tm"
+        path.write_text(text.replace("blank = B", bad, 1))
+        with pytest.raises(MachineError, match="^line 1: blank needs exactly one value"):
+            parse_machine(path.read_text())
+        capsys.readouterr()
+        assert run(["tm", "simulate", str(path), "-w", "a"]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1: blank needs")
 
 
 def test_input_may_not_contain_blank():
