@@ -14,7 +14,10 @@ those with a labelled out-edge and the accepting states, taken from the
 epsilon-closure of the states reached.  The other states of a closure
 can neither read a symbol nor accept, so leaving them out changes no
 answer, and sets that differed only in them are equal.  A set with no
-kernel state is empty and signals a dead prefix.
+kernel state is empty and signals a dead prefix.  The constructor takes
+the kernel closures of the start state and of every labelled-edge
+target in one depth-first pass over the epsilon-graph's strongly
+connected components, with at most one mask OR per epsilon-edge.
 
 Every automaton reports, per state set, the symbols the set can read
 (``readable``); any other symbol steps it to a dead set.
@@ -60,8 +63,9 @@ def _bits(mask: int) -> Iterator[int]:
 class Nfa:
     """Flat epsilon-NFA over symbol ids, stepping bitmasks of kernel states.
 
-    The constructor builds the stepping tables, with closures taken only
-    from the start state and the labelled-edge targets.
+    The constructor builds the stepping tables from the kernel closures
+    of the start state and the labelled-edge targets, all taken in one
+    pass (``_kernel_closures``).
     """
 
     def __init__(
@@ -79,51 +83,39 @@ class Nfa:
         self.accepting = frozenset(accepting)
         self.epsilon_edges = frozenset(epsilon_edges)
         self.labeled_edges = frozenset(labeled_edges)
-        if not 0 <= start < state_count:
-            raise ValueError(f"start state {start} out of range")
-        for s in self.accepting:
-            if not 0 <= s < state_count:
-                raise ValueError(f"accepting state {s} out of range")
-        for s, t in self.epsilon_edges:
-            if not (0 <= s < state_count and 0 <= t < state_count):
-                raise ValueError(f"epsilon edge {(s, t)} out of range")
-        for s, a, t in self.labeled_edges:
-            if not (0 <= s < state_count and 0 <= t < state_count and 0 <= a < len(alphabet)):
-                raise ValueError(f"labelled edge {(s, a, t)} out of range")
-
         n = state_count
+        nsyms = len(alphabet)
+        if not 0 <= start < n:
+            raise ValueError(f"start state {start} out of range")
+        # own[s] is s's bit if s is a kernel state, else 0.
+        own = [0] * n
+        for s in self.accepting:
+            if not 0 <= s < n:
+                raise ValueError(f"accepting state {s} out of range")
+            own[s] = 1 << s
+        self._accept_mask = sum(1 << s for s in self.accepting)
         eps_adj: list[list[int]] = [[] for _ in range(n)]
         for s, t in self.epsilon_edges:
+            if not (0 <= s < n and 0 <= t < n):
+                raise ValueError(f"epsilon edge {(s, t)} out of range")
             eps_adj[s].append(t)
-        self._accept_mask = sum(1 << s for s in self.accepting)
-        src = [0] * len(self.alphabet)
+        src = [0] * nsyms
         reads = [0] * n
-        for s, a, _ in self.labeled_edges:
-            src[a] |= 1 << s
-            reads[s] |= 1 << a
-        kernel = self.accepting.union(s for s, _, _ in self.labeled_edges)
-        # The kernel part of the epsilon-closure of the start state and of
-        # each labelled-edge target; the walk from s marks states with s.
-        closures: dict[int, int] = {}
-        seen = [-1] * n
-        for s in {t for _, _, t in self.labeled_edges} | {self.start}:
-            got = 0
-            seen[s] = s
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                if u in kernel:
-                    got |= 1 << u
-                for v in eps_adj[u]:
-                    if seen[v] != s:
-                        seen[v] = s
-                        stack.append(v)
-            closures[s] = got
-        trans: list[dict[int, int]] = [{} for _ in range(n)]
         into: dict[int, int] = {}
         for s, a, t in self.labeled_edges:
-            trans[s][a] = trans[s].get(a, 0) | closures[t]
-            into[t] = into.get(t, 0) | 1 << s
+            if not (0 <= s < n and 0 <= t < n and 0 <= a < nsyms):
+                raise ValueError(f"labelled edge {(s, a, t)} out of range")
+            bit = 1 << s
+            own[s] = bit
+            src[a] |= bit
+            reads[s] |= 1 << a
+            into[t] = into.get(t, 0) | bit
+        closures = _kernel_closures(eps_adj, own, {start, *into})
+        trans: list[dict[int, int]] = [{} for _ in range(n)]
+        for s, a, t in self.labeled_edges:
+            row = trans[s]
+            got = row.get(a)
+            row[a] = closures[t] if got is None else got | closures[t]
         self._trans = trans
         self._src = src
         self._reads = reads
@@ -189,6 +181,80 @@ class Nfa:
         """Can some state in ``states`` accept after exactly ``steps``
         more symbols (after any number when ``steps`` is None)?"""
         return states != 0 and bool(states & self.reach_in(steps))
+
+
+def _kernel_closures(
+    eps_adj: list[list[int]], own: list[int], roots: set[int],
+) -> dict[int, int]:
+    """The kernel part of the epsilon-closure of each root.
+
+    ``own[s]`` is state s's kernel bit, or 0.  A closure is the state's
+    own bit ORed with its epsilon-successors' closures, so one iterative
+    depth-first pass over the epsilon-graph (Tarjan's strongly connected
+    components, as in Nuutila's transitive closure) takes them all with
+    at most one OR per edge.  Every state of a component shares its
+    root's mask, and a state whose mask is still 0 shares its
+    successor's instead of ORing a copy.  A state with no epsilon-out-
+    edge is its own component and closes with no frame.  Closed states
+    carry the order number ``done``, which is above every live one, so
+    they never lower a low link.
+    """
+    n = len(own)
+    done = n
+    order = [-1] * n
+    low = [0] * n
+    mask = own[:]
+    comp: list[int] = []  # Tarjan's stack of open states
+    count = 0
+    for r in roots:
+        if order[r] != -1:
+            continue
+        if not eps_adj[r]:
+            order[r] = done
+            continue
+        order[r] = low[r] = count
+        count += 1
+        comp.append(r)
+        frames = [(r, iter(eps_adj[r]))]
+        while frames:
+            v, edges = frames[-1]
+            for w in edges:
+                o = order[w]
+                if o == -1:
+                    if eps_adj[w]:
+                        order[w] = low[w] = count
+                        count += 1
+                        comp.append(w)
+                        frames.append((w, iter(eps_adj[w])))
+                        break
+                    order[w] = o = done
+                if o == done:
+                    got, mine = mask[w], mask[v]
+                    if got and got is not mine:
+                        mask[v] = got | mine if mine else got
+                elif o < low[v]:
+                    low[v] = o
+            else:
+                frames.pop()
+                got = mask[v]
+                if low[v] == order[v]:
+                    while True:
+                        u = comp.pop()
+                        mask[u] = got
+                        order[u] = done
+                        if u == v:
+                            break
+                if frames:
+                    # Fold v into its parent: its final mask if closed,
+                    # else the part gathered so far, since v then shares
+                    # the parent's component and its root ORs in the rest.
+                    u = frames[-1][0]
+                    mine = mask[u]
+                    if got and got is not mine:
+                        mask[u] = got | mine if mine else got
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return {r: mask[r] for r in roots}
 
 
 @dataclass(frozen=True)

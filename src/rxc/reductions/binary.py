@@ -76,7 +76,7 @@ class BinaryCode:
         return self.shifts[3 * letter]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def binary_code(k: int) -> BinaryCode:
     """Shift blocks and letter squares for a k-letter alphabet."""
     if k < 2:

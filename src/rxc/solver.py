@@ -92,8 +92,11 @@ def _fill(row_autos: Sequence[Automaton], col_autos: Sequence[Automaton],
     """
     if tables is None:
         tables = {}
-    row_tabs = [tables.setdefault(id(a), ViableSymbols(a)) for a in row_autos]
-    col_tabs = [tables.setdefault(id(a), ViableSymbols(a)) for a in col_autos]
+    for a in (*row_autos, *col_autos):
+        if id(a) not in tables:
+            tables[id(a)] = ViableSymbols(a)
+    row_tabs = [tables[id(a)] for a in row_autos]
+    col_tabs = [tables[id(a)] for a in col_autos]
     m, n = len(row_autos), len(col_autos)
     size = m * n
     # The row entry of each first-column cell and the column entry of

@@ -27,7 +27,7 @@ from rxc.rex import (
     word,
 )
 
-from util import AB, ABC, all_words, flat_automaton, random_regex
+from util import AB, ABC, all_words, deep_api_tree, flat_automaton, random_regex
 
 
 def test_matches_examples():
@@ -267,3 +267,15 @@ def test_nested_intersection_compiles():
         for length in range(0, 5):
             for w in all_words(AB, length):
                 assert matches(auto, w) == regex_matches(nested, w)
+
+
+def test_deep_tree_closures():
+    # The epsilon-closures of this tree's literal exits climb every level
+    # above them; one walk per edge target took seconds to compile it.
+    r = deep_api_tree(10_000)
+    auto = compile_regex(r)
+    rng = random.Random(3)
+    words = ["1" * rng.randrange(12) + rng.choice(("", "0", "00", "01")) for _ in range(3)]
+    accepted = [matches(auto, w) for w in words]
+    assert accepted == [regex_matches(r, w) for w in words]
+    assert any(accepted) and not all(accepted)

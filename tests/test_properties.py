@@ -1,10 +1,12 @@
 """Property tests against the reference semantics: the automata layer
 against ``regex_matches``, the printer against the parser, and the cell
 search against the brute-force oracle on puzzles with a separate random
-expression for every row and column; and the read masks of the automata
-against their steps."""
+expression for every row and column; the read masks of the automata
+against their steps; and the closures the ``Nfa`` constructor takes
+against a naive search."""
 
 import random
+from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
@@ -94,6 +96,88 @@ def test_unreadable_symbols_step_to_dead_sets(case):
             for states in _sets_within(flat, 4):
                 readable = flat.readable(states)
                 assert not any(flat.is_dead(flat.step(states, a)) for a in syms if readable >> a & 1)
+
+
+@st.composite
+def epsilon_graphs(draw):
+    """Random ``Nfa`` constructor arguments.  Next to random edges, the
+    epsilon-graph gets a cycle through the start state, a chain of
+    cycles each linked to the next (several components, one reaching
+    the other), self-loops, repeated edges, and a few extra states that
+    only reach into the rest, so the start cannot reach them."""
+    alphabet = draw(st.sampled_from([AB, ABC]))
+    n = draw(st.integers(1, 10))
+    hidden = draw(st.integers(0, 3))
+    state = st.integers(0, n - 1)
+    start = draw(state)
+    eps = draw(st.lists(st.tuples(state, state), max_size=2 * n))
+    ring = [start] + draw(st.lists(state, max_size=3))
+    eps += zip(ring, ring[1:] + ring[:1])
+    cycles = draw(st.lists(st.lists(state, min_size=1, max_size=3), max_size=3))
+    for cycle, after in zip(cycles, cycles[1:] + [None]):
+        eps += zip(cycle, cycle[1:] + cycle[:1])
+        if after is not None:
+            eps.append((cycle[-1], after[0]))
+    eps += [(s, s) for s in draw(st.lists(state, max_size=2))]
+    if eps:
+        eps += draw(st.lists(st.sampled_from(eps), max_size=3))
+    lab = draw(st.lists(st.tuples(state, st.integers(0, len(alphabet) - 1), state),
+                        max_size=2 * n))
+    if hidden:
+        extra = st.integers(n, n + hidden - 1)
+        anywhere = st.integers(0, n + hidden - 1)
+        eps += draw(st.lists(st.tuples(extra, anywhere), max_size=2 * hidden))
+        lab += draw(st.lists(st.tuples(extra, st.integers(0, len(alphabet) - 1), anywhere),
+                             max_size=2 * hidden))
+    accepting = draw(st.lists(st.integers(0, n + hidden - 1), max_size=3))
+    return alphabet, n + hidden, start, accepting, eps, lab
+
+
+@SETTINGS
+@given(epsilon_graphs())
+def test_nfa_closures_agree_with_a_naive_search(case):
+    alphabet, n, start, accepting, eps, lab = case
+    auto = Nfa(alphabet, n, start, accepting, eps, lab)
+    kernel = set(accepting) | {s for s, _, _ in lab}
+    closure = []
+    for s in range(n):
+        seen, queue = {s}, deque([s])
+        while queue:
+            u = queue.popleft()
+            for x, y in eps:
+                if x == u and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        closure.append(sum(1 << u for u in seen & kernel))
+
+    def step(states, a):
+        out = 0
+        for s, b, t in lab:
+            if b == a and states >> s & 1:
+                out |= closure[t]
+        return out
+
+    def can_accept(states, k):
+        layer = {states}
+        for _ in range(k):
+            layer = {step(x, a) for x in layer for a in range(len(alphabet))}
+        return any(x >> s & 1 for x in layer for s in accepting)
+
+    assert auto.start_set() == closure[start]
+    # Every set the start reaches, and every single kernel state, which
+    # covers the edges out of the states the start cannot reach.
+    sets = {auto.start_set()} | {1 << s for s in kernel}
+    todo = list(sets)
+    while todo:
+        states = todo.pop()
+        assert [auto.feasible(states, k) for k in range(3)] == [
+            can_accept(states, k) for k in range(3)]
+        for a in range(len(alphabet)):
+            nxt = auto.step(states, a)
+            assert nxt == step(states, a)
+            if nxt not in sets:
+                sets.add(nxt)
+                todo.append(nxt)
 
 
 @st.composite

@@ -51,6 +51,20 @@ def random_regex(rng: random.Random, alphabet: Alphabet, depth: int,
     return {"star": star, "plus": plus, "opt": opt}[op](body)
 
 
+def deep_api_tree(levels: int) -> Regex:
+    """A tree ``levels`` levels deep, built through the API by wrapping
+    ``0`` in ``opt(r)``, ``concat([1, r])`` and ``union_([r, 0])`` in
+    turn.  The epsilon-closure of each literal's exit climbs the exits of
+    every level above it, so closures taken one walk per labelled-edge
+    target cost time quadratic in the depth."""
+    zero, one = lit(AB, "0"), lit(AB, "1")
+    r = zero
+    for level in range(levels - 1):
+        k = level % 3
+        r = opt(r) if k == 0 else concat([one, r]) if k == 1 else union_([r, zero])
+    return r
+
+
 def flat_automaton(r: Regex) -> Nfa:
     """``r`` compiled to one flat automaton: followed by epsilon, no
     intersection sits at the root, so each becomes an explicit product."""
