@@ -30,6 +30,7 @@ from .reductions import (
 )
 from .rex import Alphabet
 from .solver import (
+    DimensionError,
     count_grids,
     decide_unbounded_width,
     enumerate_grids,
@@ -135,6 +136,8 @@ def _cmd_decide_width(args) -> int:
         m = args.m if args.m is not None else puzzle.fixed_rows
         if m is None:
             raise UsageError("pass -m (or fix rows in the file) for a uniform row expression")
+        if puzzle.fixed_rows is not None and m != puzzle.fixed_rows:
+            raise DimensionError(f"asked for {m} rows, puzzle fixes {puzzle.fixed_rows}")
         rows = [puzzle.rows] * m
     else:
         if args.m is not None and args.m != len(puzzle.rows):

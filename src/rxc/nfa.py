@@ -26,7 +26,9 @@ which symbols keep a line alive, and never steps an unreadable symbol.
 Its entries are the nodes of a lazily built DFA, each linked to its
 successors' entries: the grid search and ``enumerate_language`` walk
 the links, so a state set is hashed only at a walk's root and once per
-new link.
+new link.  The entries of one state set share its readable mask and
+its successors, so each (state set, symbol) pair is stepped at most
+once, whatever the number of symbols left.
 """
 
 from __future__ import annotations
@@ -135,16 +137,21 @@ class Nfa:
     def step(self, states: int, sym_id: int) -> int:
         out = 0
         trans = self._trans
-        for s in _bits(states & self._src[sym_id]):
-            out |= trans[s][sym_id]
+        todo = states & self._src[sym_id]
+        while todo:
+            low = todo & -todo
+            out |= trans[low.bit_length() - 1][sym_id]
+            todo ^= low
         return out
 
     def readable(self, states: int) -> int:
         """Mask of the symbols some state in ``states`` has an edge on."""
         out = 0
         reads = self._reads
-        for s in _bits(states):
-            out |= reads[s]
+        while states:
+            low = states & -states
+            out |= reads[low.bit_length() - 1]
+            states ^= low
         return out
 
     def is_dead(self, states: int) -> bool:
@@ -302,21 +309,23 @@ class ViableEntry:
     """One entry of a ``ViableSymbols`` table, for one (state set,
     symbols left) pair: a node of the table's lazily built DFA.
 
-    ``viable`` masks the symbols stepped so far whose successor can
-    still accept in the symbols left, ``unstepped`` the readable symbols
-    not stepped yet; ``succ[sym]`` holds a stepped symbol's successor
-    set, and ``links[sym]`` the successor's entry once it is followed.
+    ``viable`` masks the symbols read so far whose successor can still
+    accept in the symbols left, ``unstepped`` the readable symbols this
+    entry has not read yet, and ``links[sym]`` holds the successor's
+    entry once it is followed.  ``succ`` belongs to the state set, not
+    the entry: every entry of the set shares the list, and ``succ[sym]``
+    holds the successor on each symbol any of them has stepped.
     """
 
     __slots__ = ("states", "after", "unstepped", "viable", "succ", "links")
 
-    def __init__(self, states, after: int | None, readable: int, nsyms: int):
+    def __init__(self, states, after: int | None, readable: int, succ: list):
         self.states = states
         self.after = after
         self.unstepped = readable
         self.viable = 0
-        self.succ: list = [None] * nsyms
-        self.links: list = [None] * nsyms
+        self.succ = succ
+        self.links: list = [None] * len(succ)
 
 
 class ViableSymbols:
@@ -325,22 +334,27 @@ class ViableSymbols:
     A symbol is viable when ``auto.step(states, sym)`` can still accept
     after exactly ``after`` more symbols (after any number when
     ``after`` is None).  This is the forward support of Pesant's REGULAR
-    constraint, built as a lazy DFA: each (states, after) pair gets one
-    ``ViableEntry``, and a viable symbol's successor, with one symbol
+    constraint, built as a lazy DFA on two levels.  Each state set gets
+    one node, its readable mask and its successor list, made on the
+    set's first lookup.  Each (states, after) pair gets one
+    ``ViableEntry``, which shares its set's successors and keeps its own
+    viable mask and links: a viable symbol's successor, with one symbol
     fewer left (None stays None), is linked from the entry on its first
     traversal.  A walk along the links indexes lists and hashes no state
     set; the keyed lookup (``entry``) runs for a walk's root and once per
     new link.  Symbols are stepped lazily, only those a caller asks
-    about, and each (entry, symbol) pair at most once; symbols the set
-    cannot read step to a dead set and are never stepped.  A table
-    serves one search and is dropped with it.
+    about, and each (state set, symbol) pair at most once, whatever the
+    symbols left; symbols the set cannot read step to a dead set and are
+    never stepped.  A table serves one search and is dropped with it.
     """
 
-    __slots__ = ("auto", "_nsyms", "_entries")
+    __slots__ = ("auto", "_nsyms", "_nodes", "_entries")
 
     def __init__(self, auto: Automaton):
         self.auto = auto
         self._nsyms = len(auto.alphabet)
+        # Per state set: (readable mask, successor list).
+        self._nodes: dict[object, tuple[int, list]] = {}
         self._entries: dict[tuple, ViableEntry] = {}
 
     def entry(self, states, after: int | None) -> ViableEntry:
@@ -348,22 +362,31 @@ class ViableSymbols:
         key = (states, after)
         entry = self._entries.get(key)
         if entry is None:
-            entry = self._entries[key] = ViableEntry(
-                states, after, self.auto.readable(states), self._nsyms)
+            node = self._nodes.get(states)
+            if node is None:
+                node = self._nodes[states] = (
+                    self.auto.readable(states), [None] * self._nsyms)
+            entry = self._entries[key] = ViableEntry(states, after, *node)
         return entry
 
     def among(self, entry: ViableEntry, symbols: int) -> int:
-        """The viable symbols of ``entry`` among ``symbols``, stepping
-        the readable ones not stepped yet."""
+        """The viable symbols of ``entry`` among ``symbols``, reading the
+        readable ones it has not read yet and stepping those its state
+        set has not stepped."""
         todo = symbols & entry.unstepped
         if todo:
             auto, states, after = self.auto, entry.states, entry.after
             succ, viable = entry.succ, entry.viable
-            for sym in _bits(todo):
-                nxt = succ[sym] = auto.step(states, sym)
-                if auto.feasible(nxt, after):
-                    viable |= 1 << sym
             entry.unstepped ^= todo
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                sym = low.bit_length() - 1
+                nxt = succ[sym]
+                if nxt is None:
+                    nxt = succ[sym] = auto.step(states, sym)
+                if auto.feasible(nxt, after):
+                    viable |= low
             entry.viable = viable
         return entry.viable & symbols
 

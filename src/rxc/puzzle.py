@@ -9,7 +9,8 @@ line) or per-line lists.  The file format is line oriented:
     R* = (01|10)        # uniform rows, or repeated "R = ..." lines
     C* = (01|10)        # uniform columns, or repeated "C = ..." lines
 
-Comment lines start with ``#``.
+Every key but ``R`` and ``C`` appears at most once, and comment lines
+start with ``#``.
 """
 
 from __future__ import annotations
@@ -91,12 +92,13 @@ def dump_puzzle(puzzle: Puzzle, header_comments: Sequence[str] = ()) -> str:
 
 def parse_puzzle(text: str) -> Puzzle:
     alphabet: Alphabet | None = None
-    fixed_rows = fixed_cols = None
+    fixed: dict[str, int] = {}
     row_uniform: Regex | None = None
     col_uniform: Regex | None = None
     row_list: list[Regex] = []
     col_list: list[Regex] = []
 
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -106,14 +108,18 @@ def parse_puzzle(text: str) -> Puzzle:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise ValueError(f"line {lineno}: repeated {key!r} line")
+        if key not in ("R", "C"):
+            seen.add(key)
         if key == "alphabet":
             alphabet = Alphabet(value.split())
             continue
-        if key == "rows":
-            fixed_rows = int(value)
-            continue
-        if key == "cols":
-            fixed_cols = int(value)
+        if key in ("rows", "cols"):
+            try:
+                fixed[key] = int(value)
+            except ValueError:
+                raise ValueError(f"line {lineno}: {key} must be an integer, got {value!r}") from None
             continue
         if alphabet is None:
             raise ValueError(f"line {lineno}: expression before alphabet line")
@@ -136,6 +142,7 @@ def parse_puzzle(text: str) -> Puzzle:
         raise ValueError("puzzle needs exactly one of 'C* =' or 'C =' lines")
     rows: TUnion[Regex, tuple] = row_uniform if row_uniform is not None else tuple(row_list)
     cols: TUnion[Regex, tuple] = col_uniform if col_uniform is not None else tuple(col_list)
+    fixed_rows, fixed_cols = fixed.get("rows"), fixed.get("cols")
     if fixed_rows is None and isinstance(rows, tuple):
         fixed_rows = len(rows)
     if fixed_cols is None and isinstance(cols, tuple):

@@ -9,10 +9,11 @@ set, cells left): the row's mask ANDed with the column's, taken lowest
 symbol id first, which makes the output order deterministic (grids
 sorted by their row-major id sequence) and prunes hard.  Column entries
 are filled lazily, only for the symbols the row allows, and every
-(entry, symbol) pair is stepped at most once per search.  Entries are
-linked to their successors' entries, so a cell visit reaches its row
-and column entries by list indexing and hashes nothing; the keyed
-lookup runs once per line start and once per new link.
+(state set, symbol) pair is stepped at most once per search, whatever
+the cells left.  Entries are linked to their successors' entries, so a
+cell visit reaches its row and column entries by list indexing and
+hashes nothing; the keyed lookup runs once per line start and once per
+new link.
 
 ``decide_unbounded_width`` answers existence when the number of rows is
 fixed but the number of columns is not: a breadth-first search over
@@ -50,14 +51,18 @@ def _compiled(exprs: Sequence[Regex], cache: dict[int, Automaton]) -> list[Autom
     return out
 
 
+def _check_fixed(puzzle: Puzzle, m: int, n: int, whose: str) -> None:
+    """Refuse dimensions other than those the puzzle fixes."""
+    for size, fixed, what in ((m, puzzle.fixed_rows, "rows"), (n, puzzle.fixed_cols, "columns")):
+        if fixed is not None and size != fixed:
+            raise DimensionError(f"{whose} {size} {what}, puzzle fixes {fixed}")
+
+
 def verify(puzzle: Puzzle, grid: Grid) -> bool:
     """True iff every row and column of the grid matches its expression."""
     if not grid.alphabet.compatible(puzzle.alphabet):
         raise DimensionError("grid alphabet differs from puzzle alphabet")
-    if puzzle.fixed_rows is not None and grid.m != puzzle.fixed_rows:
-        raise DimensionError(f"grid has {grid.m} rows, puzzle fixes {puzzle.fixed_rows}")
-    if puzzle.fixed_cols is not None and grid.n != puzzle.fixed_cols:
-        raise DimensionError(f"grid has {grid.n} columns, puzzle fixes {puzzle.fixed_cols}")
+    _check_fixed(puzzle, grid.m, grid.n, "grid has")
     cache: dict[int, Automaton] = {}
     rows = _compiled(puzzle.row_exprs(grid.m), cache)
     cols = _compiled(puzzle.col_exprs(grid.n), cache)
@@ -82,7 +87,8 @@ def _fill(row_autos: Sequence[Automaton], col_autos: Sequence[Automaton],
     need only be able to accept at all), read from one viable-symbol
     table per automaton; ``tables`` (keyed by automaton id) may be shared
     by calls over the same automata.  The column is only asked about the
-    symbols its row allows.  Each cell keeps its untried candidates and
+    symbols its row allows, and each (state set, symbol) pair is stepped
+    at most once per table.  Each cell keeps its untried candidates and
     the row and column table entries it read.  A cell's entries are the
     links of its left and upper neighbours' entries on their symbols, so
     entering a cell indexes lists and hashes nothing, and backing up
@@ -154,6 +160,7 @@ def _fill(row_autos: Sequence[Automaton], col_autos: Sequence[Automaton],
 def _fillings(puzzle: Puzzle, m: int, n: int) -> Iterator[tuple[list[int], list]]:
     if m < 1 or n < 1:
         raise DimensionError("dimensions must be positive")
+    _check_fixed(puzzle, m, n, "asked for")
     cache: dict[int, Automaton] = {}
     row_autos = _compiled(puzzle.row_exprs(m), cache)
     col_autos = _compiled(puzzle.col_exprs(n), cache)
@@ -230,6 +237,8 @@ def decide_unbounded_width(rows: Sequence[Regex], col_expr: Regex) -> WidthResul
     if not rows:
         raise ValueError("need at least one row expression")
     alphabet = rows[0].alphabet
+    if not all(e.alphabet.compatible(alphabet) for e in (*rows, col_expr)):
+        raise DimensionError("rows and column use different alphabets")
     cache: dict[int, Automaton] = {}
     row_autos = _compiled(rows, cache)
     col_auto = compile_regex(col_expr)

@@ -1,5 +1,7 @@
 """Command line interface and file format round-trips."""
 
+import re
+
 import pytest
 
 from rxc.cli import run
@@ -197,6 +199,42 @@ def test_vc_and_3sat_verbs(tmp_path):
 def test_puzzle_file_roundtrip():
     p = uniform_puzzle(parse("(01|10)*1", AB), parse("0?1+", AB), 2, 3)
     assert parse_puzzle(dump_puzzle(p)) == p
+
+
+def test_puzzle_file_errors_name_their_line():
+    head = "alphabet = 0 1\n"
+    tail = "R* = 0*\nC* = 0*\n"
+    repeated = {
+        "alphabet": head + "rows = 2\n" + head + tail,
+        "rows": head + "rows = 2\nrows = 3\n" + tail,
+        "cols": head + "cols = 2\ncols = 3\n" + tail,
+        "R*": head + "R* = 0*\nR* = 1*\nC* = 0*\n",
+        "C*": head + "C* = 0*\nC* = 1*\nR* = 0*\n",
+    }
+    for key, text in repeated.items():
+        with pytest.raises(ValueError, match=re.escape(f"line 3: repeated '{key}' line")):
+            parse_puzzle(text)
+    with pytest.raises(ValueError, match="^line 2: rows must be an integer, got 'two'$"):
+        parse_puzzle(head + "rows = two\n" + tail)
+    # Per-line expressions repeat their key by design.
+    assert parse_puzzle(head + "R = 0\nR = 1\nC* = 0|1\n").fixed_rows == 2
+
+
+def test_fixed_dimensions_refuse_other_flags(tmp_path, capsys):
+    p = tmp_path / "p.rxc"
+    p.write_text("alphabet = 0 1\nrows = 2\ncols = 2\nR* = (01|10)\nC* = (01|10)\n")
+    assert run(["count", str(p)]) == 0
+    assert run(["count", str(p), "-m", "2", "-n", "2"]) == 0
+    assert capsys.readouterr().out.split() == ["2", "2"]
+    for verb, flags, asked in (("solve", ["-m", "3"], "3 rows"),
+                               ("count", ["-m", "3", "-n", "1"], "3 rows"),
+                               ("enum", ["-n", "3"], "3 columns"),
+                               ("unique", ["-m", "1"], "1 rows"),
+                               ("decide-width", ["-m", "3"], "3 rows")):
+        assert run([verb, str(p), *flags]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"error: asked for {asked}, puzzle fixes 2"]
 
 
 def test_grid_file_roundtrip():

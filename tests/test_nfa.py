@@ -27,7 +27,7 @@ from rxc.rex import (
     word,
 )
 
-from util import AB, ABC, all_words, deep_api_tree, flat_automaton, random_regex
+from util import AB, ABC, all_words, deep_api_tree, flat_automaton, random_regex, record_steps
 
 
 def test_matches_examples():
@@ -194,6 +194,17 @@ def test_viable_symbols_links_successor_entries():
     open_root = table.entry(start, None)
     table.among(open_root, 0b01)
     assert table.link(open_root, 0) is table.entry(auto.step(start, 0), None)
+
+
+def test_enumerate_language_steps_each_state_set_once(monkeypatch):
+    # Every length walks the same few state sets with a different count
+    # of symbols left; their entries share one node per set, so each
+    # (state set, symbol) pair is stepped once in all.
+    calls = record_steps(monkeypatch)
+    words = enumerate_language(compile_regex(parse("(0|1)*0", AB)), 10)
+    assert len(words) == 2 ** 10 - 1
+    assert len(calls) == len(set(calls)) == 4
+    assert len(calls) <= len(AB) * len({states for _, states, _ in calls})
 
 
 def test_enumerate_language_long_words():

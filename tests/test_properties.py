@@ -2,15 +2,16 @@
 against ``regex_matches``, the printer against the parser, and the cell
 search against the brute-force oracle on puzzles with a separate random
 expression for every row and column; the read masks of the automata
-against their steps; and the closures the ``Nfa`` constructor takes
-against a naive search."""
+against their steps; the closures the ``Nfa`` constructor takes
+against a naive search; and the viable-symbol tables against direct
+steps."""
 
 import random
 from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
-from rxc.nfa import Nfa, compile_regex, enumerate_language, matches
+from rxc.nfa import Nfa, ViableSymbols, compile_regex, enumerate_language, matches
 from rxc.oracle import brute_force_crosswords
 from rxc.puzzle import Puzzle
 from rxc.rex import Inter, Regex, Union, format_regex, parse, regex_matches, union_, word
@@ -96,6 +97,30 @@ def test_unreadable_symbols_step_to_dead_sets(case):
             for states in _sets_within(flat, 4):
                 readable = flat.readable(states)
                 assert not any(flat.is_dead(flat.step(states, a)) for a in syms if readable >> a & 1)
+
+
+@SETTINGS
+@given(regexes())
+def test_viable_masks_agree_with_direct_steps(case):
+    # The entries of one state set share its successors but not its
+    # viable masks: each entry reached along the links, under every
+    # count of symbols left, must read feasibility for its own count.
+    r, _ = case
+    auto = compile_regex(r)
+    table = ViableSymbols(auto)
+    every = (1 << len(r.alphabet)) - 1
+    start = auto.start_set()
+    # Up to three links deep from the start, which bounds the open walk.
+    todo = [(table.entry(start, after), 0) for after in (None, 0, 1, 2, 3)]
+    while todo:
+        entry, depth = todo.pop()
+        states, after = entry.states, entry.after
+        viable = table.among(entry, every)
+        assert viable == sum(1 << a for a in range(len(r.alphabet))
+                             if auto.feasible(auto.step(states, a), after))
+        if after != 0 and depth < 3:
+            todo.extend((table.link(entry, a), depth + 1)
+                        for a in range(len(r.alphabet)) if viable >> a & 1)
 
 
 @st.composite

@@ -24,7 +24,7 @@ from rxc.solver import (
     verify,
 )
 
-from util import AB, all_words, random_puzzle, random_regex
+from util import AB, all_words, random_puzzle, random_regex, record_steps
 
 
 def test_verify_uniform_zeroes():
@@ -39,6 +39,16 @@ def test_verify_dimension_mismatch():
     p = uniform_puzzle(parse("0+", AB), parse("0+", AB), fixed_rows=2, fixed_cols=2)
     with pytest.raises(DimensionError):
         verify(p, Grid.from_strings(AB, ["0"]))
+
+
+def test_search_refuses_other_dimensions_than_the_fixed_ones():
+    p = uniform_puzzle(parse("0+", AB), parse("0+", AB), fixed_rows=2, fixed_cols=2)
+    assert count_grids(p, 2, 2) == 1
+    for search in (solve, count_grids, is_unique, enumerate_grids):
+        with pytest.raises(DimensionError, match="asked for 3 rows, puzzle fixes 2"):
+            search(p, 3, 2)
+        with pytest.raises(DimensionError, match="asked for 1 columns, puzzle fixes 2"):
+            search(p, 2, 1)
 
 
 def test_solve_forced_and_least():
@@ -78,6 +88,19 @@ def test_search_steps_each_line_key_once(monkeypatch):
     m, n = 3, 4
     assert count_grids(uniform_puzzle(any_word, any_word), m, n) == 2 ** (m * n)
     assert len(calls) <= 2 * len(AB) * (m + n + 2)
+
+
+def test_search_steps_each_state_set_once(monkeypatch):
+    # The entries of one state set share its successors, so a set is
+    # stepped on a symbol once per search, whatever the cells left on
+    # its line: at most |alphabet| steps per distinct set.  Rows and
+    # columns are parsed apart, so each has its own automaton and table.
+    calls = record_steps(monkeypatch)
+    m, n = 3, 4
+    puzzle = uniform_puzzle(parse("(0|1)*", AB), parse("(0|1)*", AB))
+    assert count_grids(puzzle, m, n) == 2 ** (m * n)
+    assert len(calls) == len(set(calls)) == 4
+    assert len(calls) <= len(AB) * len({(auto, states) for auto, states, _ in calls})
 
 
 def test_search_follows_links_between_cells(monkeypatch):
@@ -257,6 +280,15 @@ def test_decide_width_negative():
     for m in range(1, 5):
         p = Puzzle(AB, (parse("01", AB), parse("10", AB)), parse("00|11", AB))
         assert solve(p, 2, m) is None
+
+
+def test_decide_width_refuses_mixed_alphabets():
+    # Not "no width": the rows and the column read different symbols.
+    abc = Alphabet(("a", "b", "c"))
+    with pytest.raises(DimensionError, match="different alphabets"):
+        decide_unbounded_width([parse("0*", AB)], parse("b*", abc))
+    with pytest.raises(DimensionError, match="different alphabets"):
+        decide_unbounded_width([parse("0*", AB), parse("a*", abc)], parse("0*", AB))
 
 
 def test_decide_width_agrees_with_bounded_search():

@@ -73,6 +73,19 @@ def flat_automaton(r: Regex) -> Nfa:
     return auto
 
 
+def record_steps(monkeypatch) -> list[tuple[int, object, int]]:
+    """Record every ``Nfa.step`` call as (automaton id, states, symbol)."""
+    calls = []
+    real_step = Nfa.step
+
+    def recording_step(self, states, sym_id):
+        calls.append((id(self), states, sym_id))
+        return real_step(self, states, sym_id)
+
+    monkeypatch.setattr(Nfa, "step", recording_step)
+    return calls
+
+
 @st.composite
 def grids(draw, alphabets, min_side: int, max_side: int) -> Grid:
     """A grid over one of ``alphabets`` with sides in [min_side, max_side]."""
