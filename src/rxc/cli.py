@@ -143,6 +143,9 @@ def _cmd_decide_width(args) -> int:
         if args.m is not None and args.m != len(puzzle.rows):
             raise UsageError(f"-m {args.m} does not match the {len(puzzle.rows)} row expressions")
         rows = list(puzzle.rows)
+    if puzzle.fixed_cols is not None:
+        raise UsageError(f"decide-width decides over every width, but the puzzle fixes "
+                         f"{puzzle.fixed_cols} columns; use solve")
     result = decide_unbounded_width(rows, puzzle.cols)
     if not result.exists:
         print("no", file=sys.stderr)

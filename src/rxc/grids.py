@@ -7,13 +7,13 @@ Lines whose first non-blank character is ``#`` are comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .records import record
 from .rex import Alphabet, Symbol
 
 
-@dataclass(frozen=True)
+@record
 class Grid:
     """An m x n matrix of symbols, stored as alphabet ids in row-major order."""
 

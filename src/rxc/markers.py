@@ -10,19 +10,18 @@ Three disjoint marker classes over a machine's tape symbols and states:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .records import record
 from .rex import Alphabet, Symbol
 from .turing import TuringMachine
 
 
-@dataclass(frozen=True)
+@record(hidden=("_unscanned", "_scanned", "_transmission"))
 class MarkerAlphabet:
     machine: TuringMachine
     alphabet: Alphabet
-    _unscanned: dict = field(repr=False)
-    _scanned: dict = field(repr=False)
-    _transmission: dict = field(repr=False)
+    _unscanned: dict
+    _scanned: dict
+    _transmission: dict
 
     def unscanned(self, a: str) -> Symbol:
         return self._unscanned[a]

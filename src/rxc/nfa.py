@@ -3,10 +3,12 @@
 There are two automaton kinds, and one rule picks between them.  An
 intersection at the root is an implicit product (``ProductAuto``) of
 its parts' flat automata, with one state set tracked per part; every
-other tree compiles to one flat NFA (``Nfa``) by the classic inductive
-construction.  Inside a flat NFA a nested intersection becomes the
-explicit reachable-state product of its parts, trimmed to the states
-that can reach acceptance.
+other tree compiles to one flat NFA (``Nfa``) by Thompson's inductive
+construction over symbol classes: a literal, or a union of literals
+only, is one mask of symbols, placed on one labelled edge per symbol
+with no epsilon-edge of its own.  Inside a flat NFA a
+nested intersection becomes the explicit reachable-state product of its
+parts, trimmed to the states that can reach acceptance.
 
 State sets are integer bitmasks for flat automata and tuples of part
 sets for products.  A flat set holds only kernel states:
@@ -34,9 +36,9 @@ once, whatever the number of symbols left.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union as TUnion
 
+from .records import record
 from .rex import (
     Alphabet,
     Concat,
@@ -264,7 +266,7 @@ def _kernel_closures(
     return {r: mask[r] for r in roots}
 
 
-@dataclass(frozen=True)
+@record
 class ProductAuto:
     """Implicit intersection: one operand automaton per child.
 
@@ -401,12 +403,28 @@ class ViableSymbols:
 # --- compilation -------------------------------------------------------------
 
 class _Builder:
-    """Thompson's construction, one fragment per node in post-order.
+    """Thompson's construction over symbol classes, one fragment per node
+    in post-order.
 
-    A fragment is (first, entry, exit): its states run from ``first``
-    to ``exit``, the last state it allocates, and its edges are the last
-    ones added.  A nested intersection replaces its parts' fragments by
-    their explicit product.
+    A literal, and a union whose parts are all literals or such unions,
+    is a pending class: the int mask of its symbol ids, with no states
+    yet.  Its parent places it.  A concatenation chains each run of
+    classes on labelled edges, from the previous part's exit (or a fresh
+    state) through fresh states to the next part's entry (or a fresh
+    state).  A union puts its class on labelled edges between its own
+    two states, and a star of a class is one state with a self-loop per
+    symbol.  Every other parent first gives the class two states
+    (``place``).  Each chained edge contracts an epsilon-edge of the
+    classic construction whose fresh end has one in-edge or one
+    out-edge, so the language is unchanged, and no union part or
+    literal costs an epsilon-edge.
+
+    A placed fragment is (first, entry, exit).  Its states run from
+    ``first`` up to the first state of the next fragment built, and its
+    edges are the last ones added.  Its parent adds edges only into its entry and
+    out of its exit, though the entry may have in-edges and the exit
+    out-edges of its own.  A nested intersection replaces its parts'
+    fragments by their explicit product.
     """
 
     def __init__(self, alphabet: Alphabet):
@@ -415,44 +433,119 @@ class _Builder:
         self.eps: list[tuple[int, int]] = []
         self.lab: list[tuple[int, int, int]] = []
 
-    def fragment(self, node: Node, kids: Sequence[tuple[int, int, int]]) -> tuple[int, int, int]:
+    def fresh(self) -> int:
         s = self.count
+        self.count = s + 1
+        return s
+
+    def edges(self, s: int, mask: int, t: int) -> None:
+        """One labelled edge from s to t per symbol of the class."""
+        lab = self.lab
+        while mask:
+            low = mask & -mask
+            lab.append((s, low.bit_length() - 1, t))
+            mask ^= low
+
+    def place(self, kid: TUnion[int, tuple[int, int, int]]) -> tuple[int, int, int]:
+        """A pending class on two fresh states; a placed fragment as is."""
+        if not isinstance(kid, int):
+            return kid
+        s, t = self.fresh(), self.fresh()
+        self.edges(s, kid, t)
+        return s, s, t
+
+    def chain(self, src: int | None, run: Sequence[int], dst: int | None) -> tuple[int, int]:
+        """Chain a run of classes from ``src`` through fresh states to
+        ``dst``, either end fresh when None; return both ends."""
+        if src is None:
+            src = self.fresh()
+        u = src
+        for mask in run[:-1]:
+            v = self.fresh()
+            self.edges(u, mask, v)
+            u = v
+        if dst is None:
+            dst = self.fresh()
+        self.edges(u, run[-1], dst)
+        return src, dst
+
+    def fragment(self, node: Node, kids: Sequence) -> TUnion[int, tuple[int, int, int]]:
         if isinstance(node, Lit):
-            self.count = s + 2
-            self.lab.append((s, node.sym.id, s + 1))
-            return s, s, s + 1
+            return 1 << node.sym.id
         if isinstance(node, Concat):
-            eps = self.eps
-            for (_, _, exit_state), (_, entry, _) in zip(kids, kids[1:]):
-                eps.append((exit_state, entry))
-            return kids[0][0], kids[0][1], kids[-1][2]
+            return self.concat(kids)
         if isinstance(node, Inter):
-            return self.product(kids)
-        t = s + 1
-        self.count = s + 2
+            return self.product([self.place(k) for k in kids])
         if isinstance(node, Union):
-            eps = self.eps
-            for _, ps, pt in kids:
-                eps.append((s, ps))
-                eps.append((pt, t))
-        elif isinstance(node, (Star, Plus, Opt)):
-            _, bs, bt = kids[0]
+            mask = 0
+            placed = []
+            for kid in kids:
+                if isinstance(kid, int):
+                    mask |= kid
+                else:
+                    placed.append(kid)
+            if not placed:
+                return mask
+            s, t = self.fresh(), self.fresh()
+            self.edges(s, mask, t)
+            for _, ps, pt in placed:
+                self.eps.extend([(s, ps), (pt, t)])
+            return placed[0][0], s, t
+        if isinstance(node, Star) and isinstance(kids[0], int):
+            s = self.fresh()
+            self.edges(s, kids[0], s)
+            return s, s, s
+        if isinstance(node, (Star, Plus, Opt)):
+            first, bs, bt = self.place(kids[0])
+            s, t = self.fresh(), self.fresh()
             self.eps.extend([(s, bs), (bt, t)])
             if not isinstance(node, Opt):
                 self.eps.append((bt, bs))  # repeat
             if not isinstance(node, Plus):
                 self.eps.append((s, t))  # skip
-        elif isinstance(node, Eps):
+            return first, s, t
+        if isinstance(node, Eps):
+            s, t = self.fresh(), self.fresh()
             self.eps.append((s, t))
             return s, s, t
-        else:
-            raise TypeError(f"unknown node {node!r}")
-        return kids[0][0], s, t
+        raise TypeError(f"unknown node {node!r}")
+
+    def concat(self, kids: Sequence) -> tuple[int, int, int]:
+        """Join placed parts by epsilon-edges and chain the runs of
+        classes between them."""
+        first = entry = exit_state = None
+        run: list[int] = []
+        for kid in kids:
+            if isinstance(kid, int):
+                run.append(kid)
+                continue
+            kid_first, kid_entry, kid_exit = kid
+            if run:
+                src, _ = self.chain(exit_state, run, kid_entry)
+                run = []
+            else:
+                src = kid_entry
+                if exit_state is not None:
+                    self.eps.append((exit_state, kid_entry))
+            if first is None:
+                first, entry = kid_first, src
+            exit_state = kid_exit
+        if run:
+            src, exit_state = self.chain(exit_state, run, None)
+            if first is None:
+                first = entry = src
+        return first, entry, exit_state
 
     def product(self, kids: Sequence[tuple[int, int, int]]) -> tuple[int, int, int]:
         """Take the parts' fragments, the last states and edges built,
-        out of the automaton and put their explicit product in place."""
-        first = kids[0][0]
+        out of the automaton and put their explicit product in place.
+
+        The parts' states tile the range from their lowest first state
+        on, in the order of their first states, which is not the order
+        of the parts: a class is placed after every other part."""
+        firsts = sorted(lo for lo, _, _ in kids)
+        first = firsts[0]
+        ends = dict(zip(firsts, firsts[1:] + [self.count]))
         eps, lab = self.eps, self.lab
         i, j = len(eps), len(lab)
         while i and eps[i - 1][0] >= first:
@@ -461,8 +554,8 @@ class _Builder:
             j -= 1
         # Each part as (start, accepting state, its edges): the edges
         # whose source lies in its fragment.
-        parts = [(s, t, [e for e in eps[i:] if lo <= e[0] <= t],
-                  [e for e in lab[j:] if lo <= e[0] <= t]) for lo, s, t in kids]
+        parts = [(s, t, [e for e in eps[i:] if lo <= e[0] < ends[lo]],
+                  [e for e in lab[j:] if lo <= e[0] < ends[lo]]) for lo, s, t in kids]
         count, final, sub_eps, sub_lab = _explicit_product(parts, len(self.alphabet))
         del eps[i:], lab[j:]
         eps.extend((first + u, first + v) for u, v in sub_eps)
@@ -477,7 +570,7 @@ class _Builder:
 def _thompson(node: Node, alphabet: Alphabet) -> Nfa:
     b = _Builder(alphabet)
     # Unshared: every occurrence of a repeated subtree needs its own states.
-    _, start, accept = _fold(node, b.fragment, shared=False)
+    _, start, accept = b.place(_fold(node, b.fragment, shared=False))
     return Nfa(alphabet, b.count, start, [accept], b.eps, b.lab)
 
 

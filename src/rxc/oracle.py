@@ -11,11 +11,11 @@ line ``V E`` followed by ``E`` lines ``u v`` with 1-based endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .grids import Grid
 from .puzzle import Puzzle
+from .records import record
 from .rex import regex_matches
 
 DEFAULT_GRID_SCAN_CAP = 1 << 24
@@ -62,7 +62,7 @@ def brute_force_crosswords(puzzle: Puzzle, m: int, n: int,
     return out
 
 
-@dataclass(frozen=True)
+@record
 class GraphInstance:
     """An undirected graph with a cover budget; vertices are 1-based."""
 
@@ -95,7 +95,7 @@ def brute_force_vertex_cover(g: GraphInstance) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@record
 class CnfFormula:
     """CNF over variables x0..x(k-1); literals are DIMACS-style signed ints.
 

@@ -15,13 +15,13 @@ start with ``#``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union as TUnion
 
+from .records import record
 from .rex import Alphabet, Regex, format_regex, parse
 
 
-@dataclass(frozen=True)
+@record
 class Puzzle:
     alphabet: Alphabet
     rows: TUnion[Regex, tuple]

@@ -23,11 +23,11 @@ malformed grid violates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
 from ..grids import Grid
+from ..records import record
 from ..rex import (
     Alphabet,
     Regex,
@@ -56,13 +56,13 @@ class CodecError(ValueError):
         self.claim = claim
 
 
-@dataclass(frozen=True)
+@record(hidden=("shift_index",))
 class BinaryCode:
     k: int
     ell: int
     shifts: tuple[str, ...]
     squares: tuple[tuple[str, ...], ...]
-    shift_index: dict = field(repr=False)
+    shift_index: dict
 
     def cal_prefix(self, i: int) -> str:
         l = self.ell

@@ -10,9 +10,8 @@ one extra column and row, up to transposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..grids import Grid
+from ..records import record
 from ..rex import Alphabet, Regex, concat, lit, star, union_
 from ..solver import is_plural
 
@@ -33,7 +32,7 @@ def _fresh(token: str, taken: set[str]) -> str:
     return token
 
 
-@dataclass(frozen=True)
+@record
 class MergedAlphabet:
     alphabet: Alphabet
     heart: str

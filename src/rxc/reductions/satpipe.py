@@ -17,12 +17,12 @@ pair applies the letter-square encoding on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from ..grids import Grid
 from ..markers import MarkerAlphabet, marker_alphabet
 from ..oracle import CnfFormula
+from ..records import record
 from ..rex import Regex, concat, union_
 from ..turing import RunTrace, TuringMachine, simulate
 from .binary import binarize_expr
@@ -143,7 +143,7 @@ def sat_evaluator(formula: CnfFormula) -> tuple[TuringMachine, str, int]:
     return machine, w, evaluator_clock(formula)
 
 
-@dataclass
+@record(frozen=False)
 class SatReductionArtifacts:
     formula: CnfFormula
     machine: TuringMachine

@@ -22,8 +22,9 @@ with an operator) are written in braces, e.g. ``{[B,q0]}``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union as TUnion
+
+from .records import record
 
 RESERVED_CHARS = frozenset("|&*+?(){}_#")
 
@@ -45,10 +46,11 @@ class UnknownSymbolError(ValueError):
         self.token = token
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Symbol:
     """One alphabet symbol: an interned token plus its alphabet position."""
 
+    __slots__ = ("token", "id")
     token: str
     id: int
 
@@ -164,43 +166,50 @@ class Node:
         return "".join(out)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record(eq=False, repr=False)
 class Eps(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record(eq=False, repr=False)
 class Lit(Node):
+    __slots__ = ("sym",)
     sym: Symbol
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record(eq=False, repr=False)
 class Concat(Node):
+    __slots__ = ("parts",)
     parts: tuple[Node, ...]
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record(eq=False, repr=False)
 class Union(Node):
+    __slots__ = ("parts",)
     parts: tuple[Node, ...]
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record(eq=False, repr=False)
 class Inter(Node):
+    __slots__ = ("parts",)
     parts: tuple[Node, ...]
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record(eq=False, repr=False)
 class Star(Node):
+    __slots__ = ("body",)
     body: Node
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record(eq=False, repr=False)
 class Plus(Node):
+    __slots__ = ("body",)
     body: Node
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record(eq=False, repr=False)
 class Opt(Node):
+    __slots__ = ("body",)
     body: Node
 
 
@@ -213,7 +222,7 @@ def _hash_node(node: Node, kids: Sequence[int]) -> int:
     return hash((node.__class__, node.sym if isinstance(node, Lit) else tuple(kids)))
 
 
-@dataclass(frozen=True)
+@record
 class Regex:
     """An AST plus the alphabet its literals are drawn from."""
 

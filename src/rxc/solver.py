@@ -26,12 +26,12 @@ guaranteeing termination.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
 from .grids import Grid
 from .puzzle import Puzzle
+from .records import record
 from .rex import Regex, is_positive, regex_matches
 from .nfa import Automaton, ViableSymbols, compile_regex, is_empty_restricted, matches
 
@@ -218,7 +218,7 @@ def is_plural(row_expr: Regex, col_expr: Regex) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class WidthResult:
     exists: bool
     width: int | None = None

@@ -44,8 +44,9 @@ transitions plus the start/halt lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+from .records import record
 
 LEFT = "L"
 RIGHT = "R"
@@ -55,7 +56,7 @@ class MachineError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class TuringMachine:
     states: tuple[str, ...]
     tape_symbols: tuple[str, ...]
@@ -96,14 +97,14 @@ class TuringMachine:
         return tuple(q for q in self.states if q != self.halt)
 
 
-@dataclass(frozen=True)
+@record
 class Config:
     state: str
     head: int
     window: tuple[str, ...]  # tape content over [window_start, window_end]
 
 
-@dataclass(frozen=True)
+@record
 class RunTrace:
     machine: TuringMachine
     configs: tuple[Config, ...]
@@ -162,7 +163,7 @@ def simulate(machine: TuringMachine, initial_tape: Sequence[str] | str,
     return RunTrace(machine, configs, lo, halted)
 
 
-@dataclass(frozen=True)
+@record
 class AssumptionReport:
     """Outcome per run convention: 'pass', 'fail' or 'unknown'."""
 

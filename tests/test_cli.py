@@ -86,6 +86,18 @@ def test_decide_width_verb(tmp_path, capsys):
     assert out.err.splitlines() == ["error: -m 5 does not match the 2 row expressions"]
 
 
+def test_decide_width_refuses_fixed_columns(tmp_path, capsys):
+    # The verb picks the width itself; a file that fixes it is refused,
+    # not answered with a grid of another width.
+    p = tmp_path / "p.rxc"
+    p.write_text("alphabet = 0 1\nrows = 1\ncols = 2\nR* = 0*1\nC* = 0|1\n")
+    assert run(["decide-width", str(p)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        "error: decide-width decides over every width, but the puzzle fixes 2 columns; use solve"]
+
+
 def test_usage_errors(tmp_path, puzzle_file):
     assert run(["solve", puzzle_file]) == 2            # missing dimensions
     assert run(["solve", str(tmp_path / "nope.rxc"), "-m", "1", "-n", "1"]) == 2

@@ -15,6 +15,8 @@ from rxc.nfa import (
     matches,
     step,
 )
+from rxc.machines import demo_machine
+from rxc.markers import marker_alphabet
 from rxc.rex import (
     Alphabet,
     Inter,
@@ -24,6 +26,7 @@ from rxc.rex import (
     parse,
     regex_matches,
     star,
+    union_,
     word,
 )
 
@@ -79,11 +82,59 @@ def test_step_examples():
 
 
 def test_pass_through_states_leave_the_sets():
-    # The epsilon-closure of (0|1)* holds pass-through states that differ
-    # before and after a step; without them the three sets are equal.
+    # (0|1)* is one state looping on both symbols, so its three sets are
+    # equal with no pass-through state to leave out.
     auto = compile_regex(parse("(0|1)*", AB))
     s0 = auto.start_set()
     assert auto.step(s0, 0) == s0 == auto.step(s0, 1)
+    # (01|1)* keeps the star's and the union's own states, which neither
+    # read nor accept.  The epsilon-closures before and after a step
+    # differ in them; without them the three sets are equal.
+    auto = compile_regex(parse("(01|1)*", AB))
+    kernel = {s for s, _, _ in auto.labeled_edges} | auto.accepting
+    assert len(kernel) < auto.state_count
+    s0 = auto.start_set()
+    assert auto.step(s0, 1) == s0 == auto.step(auto.step(s0, 0), 1)
+
+
+def test_star_of_a_class_is_one_state():
+    # The union of n marker literals is one class: its star is one state
+    # with a self-loop per symbol, with no epsilon-edge and no state per
+    # literal.
+    markers = marker_alphabet(demo_machine()).alphabet
+    assert len(markers) == 36
+    for n in (1, 2, 28, 36):
+        r = star(union_([lit(markers, t) for t in markers.tokens[:n]]))
+        auto = compile_regex(r)
+        assert (auto.state_count, len(auto.labeled_edges), len(auto.epsilon_edges)) == (1, n, 0)
+        assert auto.start == 0 and auto.accepting == {0}
+        assert enumerate_language(auto, 1) == ["", *markers.tokens[:n]]
+
+
+def test_literal_word_is_a_chain():
+    for length in (1, 2, 5, 40):
+        text = "01" * (length // 2) + "1" * (length % 2)
+        auto = compile_regex(word(AB, text))
+        assert auto.state_count == length + 1
+        assert len(auto.labeled_edges) == length and not auto.epsilon_edges
+        assert enumerate_language(auto, length) == [text]
+
+
+def test_nested_intersection_of_literal_runs():
+    # Each part of the intersection under the star begins and ends with a
+    # run of classes, so its entry and exit are chained states and, for a
+    # part placed after the others, its states are not the lowest.
+    r = parse("((0|1)1(0|1)*0&0(0|1)*(1|0)&(01|1|0)*)*1", AB)
+    auto = compile_regex(r)
+    assert isinstance(auto, Nfa)
+    for n in range(6):
+        for w in all_words(AB, n):
+            assert matches(auto, w) == regex_matches(r, w), w
+    r = parse("0(1&(0|1)|01(0|1)*&0*1*)*(1|0)0", AB)
+    auto = compile_regex(r)
+    for n in range(6):
+        for w in all_words(AB, n):
+            assert matches(auto, w) == regex_matches(r, w), w
 
 
 def test_sets_hold_only_reading_or_accepting_states():

@@ -1,5 +1,6 @@
 """Property tests against the reference semantics: the automata layer
-against ``regex_matches``, the printer against the parser, and the cell
+against ``regex_matches``, on random trees and on trees heavy in symbol
+classes, the printer against the parser, and the cell
 search against the brute-force oracle on puzzles with a separate random
 expression for every row and column; the read masks of the automata
 against their steps; the closures the ``Nfa`` constructor takes
@@ -14,7 +15,22 @@ from hypothesis import given, settings, strategies as st
 from rxc.nfa import Nfa, ViableSymbols, compile_regex, enumerate_language, matches
 from rxc.oracle import brute_force_crosswords
 from rxc.puzzle import Puzzle
-from rxc.rex import Inter, Regex, Union, format_regex, parse, regex_matches, union_, word
+from rxc.rex import (
+    Concat,
+    Inter,
+    Lit,
+    Node,
+    Opt,
+    Plus,
+    Regex,
+    Star,
+    Union,
+    format_regex,
+    parse,
+    regex_matches,
+    union_,
+    word,
+)
 from rxc.solver import (
     count_grids,
     decide_unbounded_width,
@@ -41,6 +57,65 @@ def regexes(draw):
 @SETTINGS
 @given(regexes())
 def test_automata_agree_with_reference(case):
+    r, max_len = case
+    auto = compile_regex(r)
+    words = [w for n in range(max_len + 1) for w in all_words(r.alphabet, n)]
+    accepted = [w for w in words if regex_matches(r, w)]
+    assert [w for w in words if matches(auto, w)] == accepted
+    assert enumerate_language(auto, 4) == [
+        "".join(s.token for s in w) for w in accepted if len(w) <= 4]
+
+
+def _class_tree(rng: random.Random, alphabet, depth: int) -> Node:
+    """A random tree heavy in the shapes that compile as symbol classes:
+    unions of literals only (some nested, some of one literal), stars of
+    them, concatenations that begin and end with runs of them, and
+    intersections, some of whose parts are classes, under closures."""
+
+    def cls() -> Node:
+        lits = [Lit(s) for s in rng.sample(alphabet.symbols, rng.randint(1, len(alphabet)))]
+        if len(lits) > 2 and rng.random() < 0.3:
+            return Union((Union(tuple(lits[:2])), *lits[2:]))
+        return Union(tuple(lits)) if len(lits) > 1 or rng.random() < 0.2 else lits[0]
+
+    def run() -> list[Node]:
+        return [Star(cls()) if rng.random() < 0.25 else cls() for _ in range(rng.randint(0, 3))]
+
+    if depth <= 0:
+        return cls()
+    op = rng.choice(["class", "concat", "concat", "union", "inter", "star", "plus", "opt"])
+    if op == "class":
+        return rng.choice([cls, lambda: Star(cls())])()
+    sub = [_class_tree(rng, alphabet, depth - 1) for _ in range(rng.randint(1, 2))]
+    if op == "concat":
+        parts = run() + sub + run()
+        return Concat(tuple(parts)) if len(parts) > 1 else parts[0]
+    if op == "union":
+        return Union(tuple(sub + [cls() for _ in range(rng.randint(1, 2))]))
+    if op == "inter":
+        return Inter(tuple(sub + [cls() if rng.random() < 0.5 else Star(cls())]))
+    body = sub[0] if len(sub) == 1 else Concat(tuple(sub))
+    return {"star": Star, "plus": Plus, "opt": Opt}[op](body)
+
+
+@st.composite
+def class_shapes(draw):
+    """A class-heavy expression, with an intersection at the root, under
+    a closure or neither, and the longest word length to check it on."""
+    alphabet, max_len = draw(st.sampled_from([(AB, 5), (ABC, 4)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    node = _class_tree(rng, alphabet, depth=3)
+    where = draw(st.sampled_from(["root", "closure", "none"]))
+    if where != "none":
+        node = Inter((node, _class_tree(rng, alphabet, depth=2)))
+    if where == "closure":
+        node = Concat((Star(node), *(Lit(s) for s in rng.sample(alphabet.symbols, 2))))
+    return Regex(node, alphabet), max_len
+
+
+@SETTINGS
+@given(class_shapes())
+def test_class_shapes_agree_with_reference(case):
     r, max_len = case
     auto = compile_regex(r)
     words = [w for n in range(max_len + 1) for w in all_words(r.alphabet, n)]
