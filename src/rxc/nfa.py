@@ -408,12 +408,18 @@ class _Builder:
 
     A literal, and a union whose parts are all literals or such unions,
     is a pending class: the int mask of its symbol ids, with no states
-    yet.  Its parent places it.  A concatenation chains each run of
-    classes on labelled edges, from the previous part's exit (or a fresh
-    state) through fresh states to the next part's entry (or a fresh
-    state).  A union puts its class on labelled edges between its own
-    two states, and a star of a class is one state with a self-loop per
-    symbol.  Every other parent first gives the class two states
+    yet.  A concatenation of classes and such concatenations is a
+    pending run: the list of its classes.  Their parent places them.  A
+    concatenation chains each run of classes on labelled edges, from the
+    previous part's exit (or a fresh state) through fresh states to the
+    next part's entry (or a fresh state).  A union puts its class on
+    labelled edges between its own two states, and chains each of its
+    runs from the one to the other.  A star of a class or run chains it
+    from one state back to the same state, its entry and exit.  A plus
+    or opt of a class reads it from its entry to its exit, with one
+    epsilon-edge back (plus) or across (opt); a plus with no
+    epsilon-edge would read the class twice, on one more labelled edge
+    per symbol.  Every other parent first gives the class or run states
     (``place``).  Each chained edge contracts an epsilon-edge of the
     classic construction whose fresh end has one in-edge or one
     out-edge, so the language is unchanged, and no union part or
@@ -446,12 +452,12 @@ class _Builder:
             lab.append((s, low.bit_length() - 1, t))
             mask ^= low
 
-    def place(self, kid: TUnion[int, tuple[int, int, int]]) -> tuple[int, int, int]:
-        """A pending class on two fresh states; a placed fragment as is."""
-        if not isinstance(kid, int):
+    def place(self, kid: TUnion[int, list[int], tuple[int, int, int]]) -> tuple[int, int, int]:
+        """A pending class or run chained through fresh states; a placed
+        fragment as is."""
+        if isinstance(kid, tuple):
             return kid
-        s, t = self.fresh(), self.fresh()
-        self.edges(s, kid, t)
+        s, t = self.chain(None, kid if isinstance(kid, list) else [kid], None)
         return s, s, t
 
     def chain(self, src: int | None, run: Sequence[int], dst: int | None) -> tuple[int, int]:
@@ -469,34 +475,48 @@ class _Builder:
         self.edges(u, run[-1], dst)
         return src, dst
 
-    def fragment(self, node: Node, kids: Sequence) -> TUnion[int, tuple[int, int, int]]:
+    def fragment(self, node: Node, kids: Sequence) -> TUnion[int, list[int], tuple[int, int, int]]:
         if isinstance(node, Lit):
             return 1 << node.sym.id
+        if isinstance(node, Eps):
+            s, t = self.fresh(), self.fresh()
+            self.eps.append((s, t))
+            return s, s, t
         if isinstance(node, Concat):
             return self.concat(kids)
         if isinstance(node, Inter):
             return self.product([self.place(k) for k in kids])
         if isinstance(node, Union):
             mask = 0
-            placed = []
+            runs, placed = [], []
             for kid in kids:
                 if isinstance(kid, int):
                     mask |= kid
+                elif isinstance(kid, list):
+                    runs.append(kid)
                 else:
                     placed.append(kid)
-            if not placed:
+            if not runs and not placed:
                 return mask
             s, t = self.fresh(), self.fresh()
             self.edges(s, mask, t)
+            for run in runs:
+                self.chain(s, run, t)
             for _, ps, pt in placed:
                 self.eps.extend([(s, ps), (pt, t)])
-            return placed[0][0], s, t
-        if isinstance(node, Star) and isinstance(kids[0], int):
+            return (placed[0][0] if placed else s), s, t
+        body = kids[0]
+        if isinstance(node, Star) and not isinstance(body, tuple):
             s = self.fresh()
-            self.edges(s, kids[0], s)
+            self.chain(s, body if isinstance(body, list) else [body], s)
             return s, s, s
+        if isinstance(node, (Plus, Opt)) and isinstance(body, int):
+            s, t = self.fresh(), self.fresh()
+            self.edges(s, body, t)
+            self.eps.append((t, s) if isinstance(node, Plus) else (s, t))
+            return s, s, t
         if isinstance(node, (Star, Plus, Opt)):
-            first, bs, bt = self.place(kids[0])
+            first, bs, bt = self.place(body)
             s, t = self.fresh(), self.fresh()
             self.eps.extend([(s, bs), (bt, t)])
             if not isinstance(node, Opt):
@@ -504,20 +524,19 @@ class _Builder:
             if not isinstance(node, Plus):
                 self.eps.append((s, t))  # skip
             return first, s, t
-        if isinstance(node, Eps):
-            s, t = self.fresh(), self.fresh()
-            self.eps.append((s, t))
-            return s, s, t
         raise TypeError(f"unknown node {node!r}")
 
-    def concat(self, kids: Sequence) -> tuple[int, int, int]:
+    def concat(self, kids: Sequence) -> TUnion[list[int], tuple[int, int, int]]:
         """Join placed parts by epsilon-edges and chain the runs of
-        classes between them."""
+        classes between them; with no placed part, the pending run."""
         first = entry = exit_state = None
         run: list[int] = []
         for kid in kids:
             if isinstance(kid, int):
                 run.append(kid)
+                continue
+            if isinstance(kid, list):
+                run.extend(kid)
                 continue
             kid_first, kid_entry, kid_exit = kid
             if run:
@@ -530,10 +549,10 @@ class _Builder:
             if first is None:
                 first, entry = kid_first, src
             exit_state = kid_exit
+        if first is None:
+            return run
         if run:
-            src, exit_state = self.chain(exit_state, run, None)
-            if first is None:
-                first = entry = src
+            _, exit_state = self.chain(exit_state, run, None)
         return first, entry, exit_state
 
     def product(self, kids: Sequence[tuple[int, int, int]]) -> tuple[int, int, int]:
@@ -542,7 +561,7 @@ class _Builder:
 
         The parts' states tile the range from their lowest first state
         on, in the order of their first states, which is not the order
-        of the parts: a class is placed after every other part."""
+        of the parts: a class or run is placed after every other part."""
         firsts = sorted(lo for lo, _, _ in kids)
         first = firsts[0]
         ends = dict(zip(firsts, firsts[1:] + [self.count]))

@@ -4,10 +4,13 @@ Row and column constraints are either uniform (one expression for every
 line) or per-line lists.  The file format is line oriented:
 
     alphabet = 0 1
-    rows = 2            # optional fixed dimensions
+    # optional fixed dimensions
+    rows = 2
     cols = 2
-    R* = (01|10)        # uniform rows, or repeated "R = ..." lines
-    C* = (01|10)        # uniform columns, or repeated "C = ..." lines
+    # uniform rows, or repeated "R = ..." lines
+    R* = (01|10)
+    # uniform columns, or repeated "C = ..." lines
+    C* = (01|10)
 
 Every key but ``R`` and ``C`` appears at most once, and comment lines
 start with ``#``.
@@ -73,7 +76,8 @@ def uniform_puzzle(row: Regex, col: Regex,
 
 
 def dump_puzzle(puzzle: Puzzle, header_comments: Sequence[str] = ()) -> str:
-    lines = [f"# {c}" for c in header_comments]
+    """The file text; each line of a header comment is one comment line."""
+    lines = [f"# {line}" for c in header_comments for line in c.splitlines() or [""]]
     lines.append("alphabet = " + " ".join(puzzle.alphabet.tokens))
     if puzzle.fixed_rows is not None:
         lines.append(f"rows = {puzzle.fixed_rows}")

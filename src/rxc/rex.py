@@ -18,10 +18,18 @@ Whitespace between tokens is ignored and ``#`` starts a comment that
 runs to the end of the line.  ``_`` denotes the empty string.  Symbol
 tokens longer than one character (or single characters that collide
 with an operator) are written in braces, e.g. ``{[B,q0]}``.
+
+Text is read in one scan by a compiled ``re`` pattern whose matches are
+the tokens: a braced symbol, a run of blanks, a comment, or any other
+single character.  The parser builds nodes as the tokens come, with the
+alphabet's one shared ``Lit`` node per symbol, and the printer appends
+the pieces of the text to one list; both keep their pending work on an
+explicit stack, so each runs in time linear in the text.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union as TUnion
 
 from .records import record
@@ -44,6 +52,7 @@ class UnknownSymbolError(ValueError):
         at = "" if position is None else f" (at position {position})"
         super().__init__(f"unknown symbol {token!r}{at}")
         self.token = token
+        self.position = position
 
 
 @record
@@ -67,7 +76,7 @@ def _check_token(token: str) -> None:
 class Alphabet:
     """An ordered, duplicate-free list of symbols; ids are positions."""
 
-    __slots__ = ("symbols", "tokens", "_by_token")
+    __slots__ = ("symbols", "tokens", "_by_token", "_lits")
 
     def __init__(self, tokens: Iterable[TUnion[str, Symbol]]):
         syms = []
@@ -83,10 +92,25 @@ class Alphabet:
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("alphabet contains duplicate tokens")
         self._by_token = {s.token: s for s in self.symbols}
+        # One Lit node per symbol, shared by every tree over the alphabet
+        # and keyed by each text that denotes it in regex syntax: braced,
+        # and bare when it is one character that is not reserved.
+        self._lits: dict[str, Lit] = {}
+        for s in self.symbols:
+            node = self._lits["{" + s.token + "}"] = Lit(s)
+            if len(s.token) == 1 and s.token not in RESERVED_CHARS:
+                self._lits[s.token] = node
 
     def symbol(self, token: str) -> Symbol:
         try:
             return self._by_token[token]
+        except KeyError:
+            raise UnknownSymbolError(token) from None
+
+    def lit(self, token: str) -> "Lit":
+        """The alphabet's one literal node for ``token``."""
+        try:
+            return self._lits["{" + token + "}"]
         except KeyError:
             raise UnknownSymbolError(token) from None
 
@@ -249,67 +273,48 @@ def _shared_alphabet(parts: Sequence[Regex]) -> Alphabet:
     return first
 
 
+def _joined(kind: type, nodes: Sequence[Node]) -> Node:
+    """One node of ``kind`` over ``nodes``, with the parts of any node
+    of that kind spliced in, or the one part left."""
+    flat: list[Node] = []
+    for n in nodes:
+        if isinstance(n, kind):
+            flat.extend(n.parts)
+        else:
+            flat.append(n)
+    return flat[0] if len(flat) == 1 else kind(tuple(flat))
+
+
 def epsilon(alphabet: Alphabet) -> Regex:
     return Regex(Eps(), alphabet)
 
 
 def lit(alphabet: Alphabet, token: str) -> Regex:
-    return Regex(Lit(alphabet.symbol(token)), alphabet)
+    return Regex(alphabet.lit(token), alphabet)
 
 
 def word(alphabet: Alphabet, tokens: TUnion[str, Iterable[str]]) -> Regex:
     """Concatenation of literals; a plain string is one token per character."""
-    syms = [alphabet.symbol(t) for t in tokens]
-    if not syms:
-        return epsilon(alphabet)
-    if len(syms) == 1:
-        return Regex(Lit(syms[0]), alphabet)
-    return Regex(Concat(tuple(Lit(s) for s in syms)), alphabet)
+    nodes = [alphabet.lit(t) for t in tokens]
+    return Regex(_joined(Concat, nodes), alphabet) if nodes else epsilon(alphabet)
 
 
 def concat(parts: Sequence[Regex]) -> Regex:
     if not parts:
         raise ValueError("concat of nothing; use epsilon()")
-    alphabet = _shared_alphabet(parts)
-    flat: list[Node] = []
-    for p in parts:
-        if isinstance(p.node, Concat):
-            flat.extend(p.node.parts)
-        else:
-            flat.append(p.node)
-    if len(flat) == 1:
-        return Regex(flat[0], alphabet)
-    return Regex(Concat(tuple(flat)), alphabet)
+    return Regex(_joined(Concat, [p.node for p in parts]), _shared_alphabet(parts))
 
 
 def union_(parts: Sequence[Regex]) -> Regex:
     if not parts:
         raise ValueError("union of nothing")
-    alphabet = _shared_alphabet(parts)
-    flat: list[Node] = []
-    for p in parts:
-        if isinstance(p.node, Union):
-            flat.extend(p.node.parts)
-        else:
-            flat.append(p.node)
-    if len(flat) == 1:
-        return Regex(flat[0], alphabet)
-    return Regex(Union(tuple(flat)), alphabet)
+    return Regex(_joined(Union, [p.node for p in parts]), _shared_alphabet(parts))
 
 
 def inter(parts: Sequence[Regex]) -> Regex:
     if not parts:
         raise ValueError("intersection of nothing")
-    alphabet = _shared_alphabet(parts)
-    flat: list[Node] = []
-    for p in parts:
-        if isinstance(p.node, Inter):
-            flat.extend(p.node.parts)
-        else:
-            flat.append(p.node)
-    if len(flat) == 1:
-        return Regex(flat[0], alphabet)
-    return Regex(Inter(tuple(flat)), alphabet)
+    return Regex(_joined(Inter, [p.node for p in parts]), _shared_alphabet(parts))
 
 
 def star(r: Regex) -> Regex:
@@ -431,7 +436,7 @@ def apply_homomorphism(
         toks = symbols(target, image)
         if not toks:
             raise ValueError(f"image of {sym.token!r} is empty")
-        replacement[sym] = Lit(toks[0]) if len(toks) == 1 else Concat(tuple(Lit(t) for t in toks))
+        replacement[sym] = _joined(Concat, [target.lit(t.token) for t in toks])
 
     def visit(node: Node, kids: Sequence[Node]) -> Node:
         if isinstance(node, Eps):
@@ -522,7 +527,11 @@ def regex_matches(r: Regex, w: TUnion[str, Sequence[TUnion[str, Symbol]]]) -> bo
 
 # --- printing ----------------------------------------------------------------
 
-_PREC_UNION, _PREC_INTER, _PREC_CONCAT, _PREC_POSTFIX = 0, 1, 2, 3
+# Each n-ary kind's separator and precedence; every other node binds
+# tighter than all three.
+_SEPARATOR = {Union: "|", Inter: "&", Concat: ""}
+_PRECEDENCE = {Union: 0, Inter: 1, Concat: 2}
+_POSTFIX_TEXT = {Star: "*", Plus: "+", Opt: "?"}
 
 
 def _token_text(sym: Symbol) -> str:
@@ -532,82 +541,60 @@ def _token_text(sym: Symbol) -> str:
     return "{" + t + "}"
 
 
-def _render(node: Node, kids: Sequence[tuple[str, int]]) -> tuple[str, int]:
-    """The text of ``node`` and its precedence, from its children's."""
-    if isinstance(node, Eps):
-        return "_", _PREC_POSTFIX
-    if isinstance(node, Lit):
-        return _token_text(node.sym), _PREC_POSTFIX
-    if isinstance(node, (Star, Plus, Opt)):
-        op = "*" if isinstance(node, Star) else "+" if isinstance(node, Plus) else "?"
-        body, prec = kids[0]
-        return (body if prec == _PREC_POSTFIX else "(" + body + ")") + op, _PREC_POSTFIX
-    if isinstance(node, Union):
-        sep, outer = "|", _PREC_UNION
-    elif isinstance(node, Inter):
-        sep, outer = "&", _PREC_INTER
-    elif isinstance(node, Concat):
-        sep, outer = "", _PREC_CONCAT
-    else:
-        raise TypeError(f"unknown node {node!r}")
-    return sep.join(text if prec >= outer else "(" + text + ")" for text, prec in kids), outer
-
-
 def format_regex(r: Regex) -> str:
     """Render with canonical parenthesisation; reparses to an equal AST."""
-    # Unshared: a shared subtree's text is copied into each parent anyway,
-    # and keeping every subtree's text would take memory quadratic in the
-    # depth of the tree.
-    return _fold(r.node, _render, shared=False)[0]
+    out: list[str] = []
+    # Nodes still to print, and the text that comes between and after them.
+    todo: list = [r.node]
+    emit, push, pop = out.append, todo.append, todo.pop
+    while todo:
+        item = pop()
+        kind = item.__class__
+        if kind is str:
+            emit(item)
+        elif kind is Lit:
+            emit(_token_text(item.sym))
+        elif kind in _POSTFIX_TEXT:
+            body = item.body
+            if body.__class__ in _PRECEDENCE:
+                emit("(")
+                push(")" + _POSTFIX_TEXT[kind])
+            else:
+                push(_POSTFIX_TEXT[kind])
+            push(body)
+        elif kind in _SEPARATOR:
+            sep, outer = _SEPARATOR[kind], _PRECEDENCE[kind]
+            parts = item.parts
+            # Pushed last part first; each part but the first is led by sep.
+            for i in range(len(parts) - 1, -1, -1):
+                part = parts[i]
+                lead = sep if i else ""
+                if part.__class__ is Lit:
+                    push(lead + _token_text(part.sym))
+                elif _PRECEDENCE.get(part.__class__, 3) < outer:
+                    push(")")
+                    push(part)
+                    push(lead + "(")
+                else:
+                    push(part)
+                    if lead:
+                        push(lead)
+        elif kind is Eps:
+            emit("_")
+        else:
+            raise TypeError(f"unknown node {item!r}")
+    return "".join(out)
 
 
 # --- parsing ------------------------------------------------------------------
 
-class _Lexer:
-    """Reads regex text one character at a time.  Whitespace and ``#``
-    comments are skipped once at the start and after each token taken,
-    so ``pos`` always rests on the next token and ``peek`` reads it."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self._skip()
-
-    def _skip(self) -> None:
-        text, n, pos = self.text, len(self.text), self.pos
-        while pos < n:
-            c = text[pos]
-            if c.isspace():
-                pos += 1
-            elif c == "#":
-                pos = text.find("\n", pos)
-                if pos == -1:
-                    pos = n
-            else:
-                break
-        self.pos = pos
-
-    def peek(self) -> str | None:
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def take(self) -> None:
-        """Consume the character ``peek`` returned."""
-        self.pos += 1
-        self._skip()
-
-    def take_braced(self) -> tuple[str, int]:
-        """Consume a ``{token}`` starting at the ``{`` ``peek`` returned."""
-        start = self.pos
-        end = self.text.find("}", start + 1)
-        if end == -1:
-            raise RegexSyntaxError("unterminated '{' token", start)
-        token = self.text[start + 1:end]
-        if not token:
-            raise RegexSyntaxError("empty symbol token", start)
-        self.pos = end + 1
-        self._skip()
-        return token, start
-
+# One match per token: a braced symbol, a run of blanks, a comment, any
+# other single character, and an empty match at the end of the text.  An
+# unterminated '{' matches as a single character.
+_TOKENS = re.compile(r"\{[^}]*\}|\s+|#[^\n]*|.|\Z")
+_POSTFIX_KIND = {text: kind for kind, text in _POSTFIX_TEXT.items()}
+# The tokens that end an operand: "" is the end of the text.
+_OPERAND_ENDS = frozenset(("|", "&", ")", ""))
 
 MAX_NESTING = 200
 _TOO_DEEP = f"nested too deeply (more than {MAX_NESTING} levels)"
@@ -616,76 +603,64 @@ _TOO_DEEP = f"nested too deeply (more than {MAX_NESTING} levels)"
 def parse(text: str, alphabet: Alphabet) -> Regex:
     """Parse regex text over the given alphabet.
 
-    The parser keeps one frame per open parenthesis on an explicit
-    stack.  More than ``MAX_NESTING`` open parentheses raise
-    ``RegexSyntaxError``; this bounds the input only.  Postfix chains
-    and operator nesting are not limited: every walk over the tree runs
-    on an explicit stack, whatever its depth.
+    The parser reads the text in one token scan and keeps one frame per
+    open parenthesis on an explicit stack.  More than ``MAX_NESTING``
+    open parentheses raise ``RegexSyntaxError``; this bounds the input
+    only.  Postfix chains and operator nesting are not limited: every
+    walk over the tree runs on an explicit stack, whatever its depth.
     """
-    lx = _Lexer(text)
+    lits = alphabet._lits
     # Per open group: the union and intersection operands finished so
     # far and the factors of the concatenation being read.
     stack: list[tuple[list, list, list]] = []
-    unions: list[Regex] = []
-    inters: list[Regex] = []
-    factors: list[Regex] = []
-    while True:
-        c = lx.peek()
-        if c is None or c in "|&)":
+    unions: list[Node] = []
+    inters: list[Node] = []
+    factors: list[Node] = []
+    for m in _TOKENS.finditer(text):
+        tok = m[0]
+        node = lits.get(tok)
+        if node is not None:
+            factors.append(node)
+        elif tok in _POSTFIX_KIND and factors:
+            factors[-1] = _POSTFIX_KIND[tok](factors[-1])
+        elif tok in _OPERAND_ENDS:
             if not factors:
-                what = "end of input" if c is None else repr(c)
-                raise RegexSyntaxError(f"unexpected {what}", lx.pos)
-            inters.append(factors[0] if len(factors) == 1 else concat(factors))
+                what = repr(tok) if tok else "end of input"
+                raise RegexSyntaxError(f"unexpected {what}", m.start())
+            inters.append(factors[0] if len(factors) == 1 else _joined(Concat, factors))
             factors = []
-            if c == "&":
-                lx.take()
+            if tok == "&":
                 continue
-            unions.append(inters[0] if len(inters) == 1 else inter(inters))
+            unions.append(inters[0] if len(inters) == 1 else _joined(Inter, inters))
             inters = []
-            if c == "|":
-                lx.take()
+            if tok == "|":
                 continue
-            r = unions[0] if len(unions) == 1 else union_(unions)
-            if c is None:
-                if stack:
-                    raise RegexSyntaxError("expected ')'", lx.pos)
-                return r
+            r = unions[0] if len(unions) == 1 else _joined(Union, unions)
+            if not tok:
+                break
             if not stack:
-                raise RegexSyntaxError("unexpected ')'", lx.pos)
-            lx.take()
+                raise RegexSyntaxError("unexpected ')'", m.start())
             unions, inters, factors = stack.pop()
-        elif c == "(":
+            factors.append(r)
+        elif tok == "(":
             if len(stack) == MAX_NESTING:
-                raise RegexSyntaxError(_TOO_DEEP, lx.pos)
-            lx.take()
+                raise RegexSyntaxError(_TOO_DEEP, m.start())
             stack.append((unions, inters, factors))
             unions, inters, factors = [], [], []
+        elif tok == "_":
+            factors.append(Eps())
+        elif tok[0] == "#" or tok.isspace():
             continue
-        elif c == "_":
-            lx.take()
-            r = epsilon(alphabet)
-        elif c == "{":
-            token, at = lx.take_braced()
-            if token not in alphabet:
-                raise UnknownSymbolError(token, at)
-            r = lit(alphabet, token)
-        elif c in RESERVED_CHARS:
-            raise RegexSyntaxError(f"unexpected {c!r}", lx.pos)
+        elif tok == "{":
+            raise RegexSyntaxError("unterminated '{' token", m.start())
+        elif tok == "{}":
+            raise RegexSyntaxError("empty symbol token", m.start())
+        elif tok[0] == "{":
+            raise UnknownSymbolError(tok[1:-1], m.start())
+        elif tok in RESERVED_CHARS:
+            raise RegexSyntaxError(f"unexpected {tok!r}", m.start())
         else:
-            at = lx.pos
-            lx.take()
-            if c not in alphabet:
-                raise UnknownSymbolError(c, at)
-            r = lit(alphabet, c)
-        while True:
-            c = lx.peek()
-            if c == "*":
-                r = star(r)
-            elif c == "+":
-                r = plus(r)
-            elif c == "?":
-                r = opt(r)
-            else:
-                break
-            lx.take()
-        factors.append(r)
+            raise UnknownSymbolError(tok, m.start())
+    if stack:
+        raise RegexSyntaxError("expected ')'", len(text))
+    return Regex(r, alphabet)

@@ -1,6 +1,7 @@
 """Command line interface and file format round-trips."""
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +212,23 @@ def test_vc_and_3sat_verbs(tmp_path):
 def test_puzzle_file_roundtrip():
     p = uniform_puzzle(parse("(01|10)*1", AB), parse("0?1+", AB), 2, 3)
     assert parse_puzzle(dump_puzzle(p)) == p
+
+
+def test_readme_puzzle_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("**Puzzle files**"):]
+    start = section.index("```\n") + 4
+    p = parse_puzzle(section[start:section.index("```", start)])
+    assert (p.fixed_rows, p.fixed_cols) == (2, 2)
+    assert p.rows == p.cols == parse("(01|10)", p.alphabet)
+
+
+def test_multi_line_header_comments_stay_comments():
+    p = uniform_puzzle(parse("(01|10)*1", AB), parse("0?1+", AB), 2, 3)
+    text = dump_puzzle(p, ["made by hand\nrows = 5", "", "cols = 7\r\nR* = 0"])
+    assert text.splitlines()[:5] == ["# made by hand", "# rows = 5", "# ",
+                                     "# cols = 7", "# R* = 0"]
+    assert parse_puzzle(text) == p
 
 
 def test_puzzle_file_errors_name_their_line():

@@ -120,6 +120,25 @@ def test_literal_word_is_a_chain():
         assert enumerate_language(auto, length) == [text]
 
 
+@pytest.mark.parametrize("text, states, eps", [
+    ("(0|1)+", 2, 1),      # the class, and an epsilon-edge back
+    ("(0|1)?", 2, 1),      # the class, and an epsilon-edge across
+    ("(01)*", 2, 0),       # one loop through its entry, also its exit
+    ("(0(1|0)1)*", 3, 0),
+    ("01|10|1", 4, 0),     # each run chained between the union's two states
+    ("(01|1)*", 5, 4),
+    ("1(01)*0+", 5, 2),
+    ("((01)*|1+)?", 8, 8),
+])
+def test_closures_of_classes_and_runs(text, states, eps):
+    r = parse(text, AB)
+    auto = compile_regex(r)
+    assert (auto.state_count, len(auto.epsilon_edges)) == (states, eps)
+    for n in range(7):
+        for w in all_words(AB, n):
+            assert matches(auto, w) == regex_matches(r, w), w
+
+
 def test_nested_intersection_of_literal_runs():
     # Each part of the intersection under the star begins and ends with a
     # run of classes, so its entry and exit are chained states and, for a

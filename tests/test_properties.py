@@ -16,6 +16,8 @@ from rxc.nfa import Nfa, ViableSymbols, compile_regex, enumerate_language, match
 from rxc.oracle import brute_force_crosswords
 from rxc.puzzle import Puzzle
 from rxc.rex import (
+    RESERVED_CHARS,
+    Alphabet,
     Concat,
     Inter,
     Lit,
@@ -23,8 +25,10 @@ from rxc.rex import (
     Opt,
     Plus,
     Regex,
+    RegexSyntaxError,
     Star,
     Union,
+    UnknownSymbolError,
     format_regex,
     parse,
     regex_matches,
@@ -68,9 +72,10 @@ def test_automata_agree_with_reference(case):
 
 def _class_tree(rng: random.Random, alphabet, depth: int) -> Node:
     """A random tree heavy in the shapes that compile as symbol classes:
-    unions of literals only (some nested, some of one literal), stars of
-    them, concatenations that begin and end with runs of them, and
-    intersections, some of whose parts are classes, under closures."""
+    unions of literals only (some nested, some of one literal), closures
+    of them and of runs of them, concatenations that begin and end with
+    runs of them, and intersections, some of whose parts are classes,
+    under closures."""
 
     def cls() -> Node:
         lits = [Lit(s) for s in rng.sample(alphabet.symbols, rng.randint(1, len(alphabet)))]
@@ -78,8 +83,12 @@ def _class_tree(rng: random.Random, alphabet, depth: int) -> Node:
             return Union((Union(tuple(lits[:2])), *lits[2:]))
         return Union(tuple(lits)) if len(lits) > 1 or rng.random() < 0.2 else lits[0]
 
+    def closure() -> Node:
+        body = cls() if rng.random() < 0.5 else Concat((cls(), cls()))
+        return rng.choice([Star, Star, Plus, Opt])(body)
+
     def run() -> list[Node]:
-        return [Star(cls()) if rng.random() < 0.25 else cls() for _ in range(rng.randint(0, 3))]
+        return [closure() if rng.random() < 0.25 else cls() for _ in range(rng.randint(0, 3))]
 
     if depth <= 0:
         return cls()
@@ -130,6 +139,28 @@ def test_class_shapes_agree_with_reference(case):
 def test_format_parse_roundtrip(case):
     r, _ = case
     assert parse(format_regex(r), r.alphabet) == r
+
+
+# The alphabet's characters, every reserved character (braces and "#"
+# among them), braced tokens known and unknown, blanks and newlines.  The
+# symbols come several times over, so that more of the texts parse.
+FUZZ_ALPHABET = Alphabet(("0", "1", "ab", "*"))
+FUZZ_PIECES = ["0", "1", "a", "b", "x", *sorted(RESERVED_CHARS),
+               "{ab}", "{*}", "{0}", "{}", "{a b}", " ", "\t", "\n"] + ["0", "1", "{ab}"] * 4
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(FUZZ_PIECES), max_size=30).map("".join))
+def test_parse_fuzz(text):
+    # Any text either parses to a tree that prints and reparses to an
+    # equal tree, or raises one of the two typed errors at a position
+    # within the text; any other exception fails the test.
+    try:
+        r = parse(text, FUZZ_ALPHABET)
+    except (RegexSyntaxError, UnknownSymbolError) as err:
+        assert err.position is not None and 0 <= err.position <= len(text)
+        return
+    assert parse(format_regex(r), FUZZ_ALPHABET) == r
 
 
 def _parts(auto):

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import rxc
+from rxc.machines import bouncing_machine, demo_machine, overwriting_machine, zigzag_machine
 from rxc.nfa import compile_regex, matches
+from rxc.reductions import column_expression, row_expression, sat_reduce, squarify_col_expr
 from rxc.reductions.binary import binarize_expr
 from rxc.rex import (
     Alphabet,
@@ -36,7 +38,7 @@ from rxc.rex import (
     word,
 )
 
-from util import AB, all_words, random_regex
+from util import AB, ABC, all_words, formula, random_regex
 
 MARKERS = Alphabet(("<B|q1>", "[B,q0]", "[a]", "[B]"))
 
@@ -85,7 +87,9 @@ def test_parse_errors_carry_positions():
         parse("(01", AB)
     with pytest.raises(UnknownSymbolError) as err:
         parse("02", AB)
-    assert err.value.token == "2"
+    assert err.value.token == "2" and err.value.position == 1
+    with pytest.raises(RegexSyntaxError, match=r"^empty symbol token \(at position 1\)$"):
+        parse("0{}", AB)
 
 
 @pytest.mark.parametrize("text, error, message", [
@@ -243,6 +247,31 @@ def test_roundtrip_random_asts():
     for _ in range(500):
         r = random_regex(rng, AB, depth=6)
         assert parse(format_regex(r), AB) == r
+
+
+def test_reduction_texts_round_trip():
+    # The large expressions the reductions build print and reparse to
+    # equal trees: the tableau row and columns of every machine, the SAT
+    # pair at marker and binary level (the binary texts run to 144,121
+    # and 179,767 characters), and binarized random pairs.
+    exprs = []
+    for machine, w in ((demo_machine(), "a"), (overwriting_machine(), "ab"),
+                       (zigzag_machine(), "aa"), (bouncing_machine(), "a")):
+        col = column_expression(machine)
+        exprs += [row_expression(machine, w), col, squarify_col_expr(col, machine)]
+    art = sat_reduce(formula(1, (1,)))
+    exprs += [art.row_expr, art.col_expr, art.col_expr_square,
+              art.row_expr_binary, art.col_expr_binary]
+    rng = random.Random(3)
+    for alphabet in (AB, ABC, ABC):
+        pair = []
+        while len(pair) < 2:
+            r = random_regex(rng, alphabet, depth=4)
+            if is_positive(r):
+                pair.append(binarize_expr(len(alphabet), r))
+        exprs += pair
+    for e in exprs:
+        assert parse(format_regex(e), e.alphabet) == e
 
 
 def test_positivity_examples():
