@@ -30,7 +30,10 @@ successors' entries: the grid search and ``enumerate_language`` walk
 the links, so a state set is hashed only at a walk's root and once per
 new link.  The entries of one state set share its readable mask and
 its successors, so each (state set, symbol) pair is stepped at most
-once, whatever the number of symbols left.
+once, whatever the number of symbols left.  The same entries answer the
+backward half of REGULAR for one line at a time (``supports``): which
+symbols of each cell's mask some accepting walk through all the masks
+uses.
 """
 
 from __future__ import annotations
@@ -348,9 +351,13 @@ class ViableSymbols:
     about, and each (state set, symbol) pair at most once, whatever the
     symbols left; symbols the set cannot read step to a dead set and are
     never stepped.  A table serves one search and is dropped with it.
+
+    ``supports`` adds the backward half of REGULAR for one line: which
+    symbols of each cell lie on some accepting walk through the cells'
+    masks.
     """
 
-    __slots__ = ("auto", "_nsyms", "_nodes", "_entries")
+    __slots__ = ("auto", "_nsyms", "_nodes", "_entries", "_supports")
 
     def __init__(self, auto: Automaton):
         self.auto = auto
@@ -358,6 +365,7 @@ class ViableSymbols:
         # Per state set: (readable mask, successor list).
         self._nodes: dict[object, tuple[int, list]] = {}
         self._entries: dict[tuple, ViableEntry] = {}
+        self._supports: dict[tuple, tuple[int, ...]] = {}
 
     def entry(self, states, after: int | None) -> ViableEntry:
         """The entry of ``(states, after)``, made on first lookup."""
@@ -398,6 +406,58 @@ class ViableSymbols:
         nxt = entry.links[sym] = self.entry(
             entry.succ[sym], None if after is None else after - 1)
         return nxt
+
+    def supports(self, entry: ViableEntry, masks: tuple[int, ...]) -> tuple[int, ...]:
+        """Per cell of a line, the symbols of its mask that some walk
+        from ``entry`` through every cell's mask uses, a walk that can
+        still accept when the last cell is read; () when no walk exists.
+
+        ``entry.after`` must be ``len(masks) - 1``.  The walk goes
+        forward along the links, one layer of entries per cell, and back
+        from the last layer, whose viable symbols already lead to
+        acceptance.  It steps and links as the search does, so no pair
+        is stepped twice, and each (entry, masks) pair is walked once
+        per table.
+        """
+        key = (entry, masks)
+        got = self._supports.get(key)
+        if got is not None:
+            return got
+        layers = [[entry]]
+        for mask in masks[:-1]:
+            nxt: dict[ViableEntry, None] = {}
+            for e in layers[-1]:
+                links = e.links
+                todo = self.among(e, mask)
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    sym = low.bit_length() - 1
+                    nxt[links[sym] or self.link(e, sym)] = None
+            layers.append(list(nxt))
+        out = [0] * len(masks)
+        # live[e] masks the symbols of e's cell that lead e to acceptance.
+        live: dict[ViableEntry, int] = {}
+        last = len(masks) - 1
+        for e in layers[last]:
+            sup = self.among(e, masks[last])
+            if sup:
+                live[e] = sup
+                out[last] |= sup
+        for t in range(last - 1, -1, -1):
+            for e in layers[t]:
+                sup, links = 0, e.links
+                todo = e.viable & masks[t]
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    if links[low.bit_length() - 1] in live:
+                        sup |= low
+                if sup:
+                    live[e] = sup
+                    out[t] |= sup
+        got = self._supports[key] = tuple(out) if out[0] else ()
+        return got
 
 
 # --- compilation -------------------------------------------------------------

@@ -64,12 +64,16 @@ class Symbol:
     id: int
 
 
+# ``\s`` matches exactly the characters for which ``str.isspace`` holds.
+_BAD_TOKEN_CHAR = re.compile(r"[\s{}]")
+
+
 def _check_token(token: str) -> None:
     if not token:
         raise ValueError("symbol token must be nonempty")
-    if any(c.isspace() for c in token):
-        raise ValueError(f"symbol token {token!r} contains whitespace")
-    if "{" in token or "}" in token:
+    if _BAD_TOKEN_CHAR.search(token):
+        if any(c.isspace() for c in token):
+            raise ValueError(f"symbol token {token!r} contains whitespace")
         raise ValueError(f"symbol token {token!r} contains a brace")
 
 

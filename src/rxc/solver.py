@@ -15,6 +15,25 @@ cell visit reaches its row and column entries by list indexing and
 hashes nothing; the keyed lookup runs once per line start and once per
 new link.
 
+Forward support alone can let a search fill a whole row and then find
+that no grid lies below it: the search backs over that row boundary
+having yielded nothing since it entered it, a *dead row*.  The first
+dead row arms the backward half of Pesant's REGULAR constraint, as
+Nonogram line solvers use it.  From then on, each row boundary the
+search enters runs a support fixpoint over the rows left: every cell
+below keeps a mask (its cap), each row is walked from its start and
+each column from the state set the rows above lead it to
+(``ViableSymbols.supports``), and each line's cells are narrowed to the
+symbols some accepting walk through the masks uses, in sweeps over all
+lines until none narrows.  A line with no walk left makes the search
+back out of the boundary; otherwise each cell's candidates are ANDed
+with its cap, and backing over the boundary restores the caps it
+replaced.  Only symbols no solution uses are removed, so the output
+order is unchanged.  Searches that never meet a dead row, where forward
+checking suffices, pay a flag test per cell and a store or two per
+row boundary and per grid, and never propagate; the open rows of the
+width decider never arm.
+
 ``decide_unbounded_width`` answers existence when the number of rows is
 fixed but the number of columns is not: a breadth-first search over
 profiles (the tuple of per-row state sets), filling one column at a
@@ -92,9 +111,13 @@ def _fill(row_autos: Sequence[Automaton], col_autos: Sequence[Automaton],
     the row and column table entries it read.  A cell's entries are the
     links of its left and upper neighbours' entries on their symbols, so
     entering a cell indexes lists and hashes nothing, and backing up
-    needs no undo.  Yields ``(cells, row_entries)``, row-major; row k
-    steps to ``row_entries[k].succ[cells[k]]``.  Both lists are reused,
-    so read them before resuming.
+    within a row needs no undo.  Once the search has backed over a dead
+    row (closed rows only), each row boundary it enters runs
+    ``_propagate`` and each cell's candidates are ANDed with its cap;
+    backing over the boundary restores the caps it replaced.  Yields
+    ``(cells, row_entries)``, row-major; row k steps to
+    ``row_entries[k].succ[cells[k]]``.  Both lists are reused, so read
+    them before resuming.
     """
     if tables is None:
         tables = {}
@@ -119,17 +142,39 @@ def _fill(row_autos: Sequence[Automaton], col_autos: Sequence[Automaton],
     todo = [0] * size
     rows: list = [None] * size
     cols: list = [None] * size
+    # boundary[k]: cell k is the first cell or, unless rows are open, a
+    # row's first cell.  A boundary k on the search's path has yielded a
+    # grid since the search entered it iff live >= k.  Once armed,
+    # caps[k] masks the symbols that cell k's lines still support, and
+    # saved[k] holds the caps that the propagation at boundary k replaced.
+    boundary = [False] * size
+    if open_rows:
+        boundary[0] = True
+    else:
+        boundary[::n] = [True] * m
+    live = -1
+    caps = [every] * size
+    saved: list = [None] * size
+    armed = False
     k, enter = 0, True
     while True:
         if enter:
             row = row_roots[k]
-            if row is None:
+            if row is not None:
+                if armed:
+                    saved[k] = caps[k:]
+                    if not _propagate(caps, k, n, row_tabs, row_roots, col_tabs, cols, cells):
+                        todo[k], enter = 0, False
+                        continue
+            else:
                 left, sym = rows[k - 1], cells[k - 1]
                 row = left.links[sym] or row_tabs[k // n].link(left, sym)
             rows[k] = row
             mask = row.viable
             if row.unstepped:
                 mask = row_tabs[k // n].among(row, every)
+            if armed:
+                mask &= caps[k]
             if mask:
                 col = col_roots[k]
                 if col is None:
@@ -143,8 +188,17 @@ def _fill(row_autos: Sequence[Automaton], col_autos: Sequence[Automaton],
         else:
             mask = todo[k]
         if not mask:
-            if k == 0:
-                return
+            if boundary[k]:
+                if k == 0:
+                    return
+                # Backing over a row boundary: a dead row if its subtree
+                # yielded no grid, and the caps it replaced come back.
+                if live < k:
+                    armed = True
+                else:
+                    live = k - 1
+                if armed and saved[k] is not None:
+                    caps[k:] = saved[k]
             k, enter = k - 1, False
             continue
         low = mask & -mask
@@ -153,8 +207,39 @@ def _fill(row_autos: Sequence[Automaton], col_autos: Sequence[Automaton],
         if k + 1 < size:
             k, enter = k + 1, True
         else:
+            live = size
             yield cells, rows
             enter = False
+
+
+def _propagate(caps: list[int], k: int, n: int, row_tabs: Sequence[ViableSymbols],
+               row_roots: Sequence, col_tabs: Sequence[ViableSymbols],
+               cols: Sequence, cells: Sequence[int]) -> bool:
+    """Narrow ``caps[k:]``, the cells from row-start cell k on, to their
+    lines' supports until a sweep over the lines narrows none; False as
+    soon as a line has no accepting walk left.
+
+    Each row is walked from its root entry and each column from the
+    entry that the cells above row k lead it to.
+    """
+    size = len(caps)
+    lines = [(row_tabs[i // n], row_roots[i], slice(i, i + n)) for i in range(k, size, n)]
+    for j in range(n):
+        up, sym = cols[k - n + j], cells[k - n + j]
+        top = up.links[sym] or col_tabs[j].link(up, sym)
+        lines.append((col_tabs[j], top, slice(k + j, size, n)))
+    narrowed = True
+    while narrowed:
+        narrowed = False
+        for tab, entry, cut in lines:
+            masks = tuple(caps[cut])
+            support = tab.supports(entry, masks)
+            if not support:
+                return False
+            if support != masks:
+                caps[cut] = support
+                narrowed = True
+    return True
 
 
 def _fillings(puzzle: Puzzle, m: int, n: int) -> Iterator[tuple[list[int], list]]:

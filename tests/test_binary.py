@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from rxc.grids import Grid
 from rxc.nfa import compile_regex, enumerate_language, matches
+from rxc.oracle import brute_force_crosswords
 from rxc.puzzle import uniform_puzzle
 from rxc.reductions import (
     BINARY,
@@ -20,9 +21,9 @@ from rxc.reductions import (
     psi_encode,
 )
 from rxc.rex import Alphabet, is_positive, parse
-from rxc.solver import verify
+from rxc.solver import count_grids, enumerate_grids, is_unique, solve, verify
 
-from util import AB, grids, random_regex
+from util import AB, grids, random_regex, record_supports
 
 FIVE = Alphabet(("0", "1", "2", "3", "4"))
 
@@ -156,6 +157,22 @@ def test_three_letter_enumeration_matches_images():
     assert {g.cells for g in found} == expected
     for g in found:
         psi_decode(3, g, abc)
+
+
+@pytest.mark.parametrize("row, col", [("1", "1|0"), ("0|1", "1")])
+def test_letter_squares_match_images(monkeypatch, row, col):
+    # The 13 x 13 encodings of two 1 x 1 letter puzzles with one solution
+    # each.  Their searches meet dead rows and then propagate line
+    # supports at every row boundary they enter.
+    calls = record_supports(monkeypatch)
+    letters = brute_force_crosswords(uniform_puzzle(parse(row, AB), parse(col, AB)), 1, 1)
+    images = [psi_encode(2, g).cells for g in letters]
+    assert len(images) == 1
+    puzzle = uniform_puzzle(binarize_expr(2, parse(row, AB)), binarize_expr(2, parse(col, AB)))
+    assert [g.cells for g in enumerate_grids(puzzle, 13, 13)] == images
+    assert calls
+    assert count_grids(puzzle, 13, 13) == 1 and is_unique(puzzle, 13, 13)
+    assert solve(puzzle, 13, 13).cells == images[0]
 
 
 def test_binarized_matches_agrees_with_automata():

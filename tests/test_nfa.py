@@ -1,5 +1,6 @@
 """Automata layer: compilation, stepping, emptiness, enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -264,6 +265,36 @@ def test_viable_symbols_links_successor_entries():
     open_root = table.entry(start, None)
     table.among(open_root, 0b01)
     assert table.link(open_root, 0) is table.entry(auto.step(start, 0), None)
+
+
+def test_line_supports_look_back_from_acceptance():
+    # 00|11 with the last cell held to 1: forward support alone keeps 0
+    # in the first cell, the walk back from acceptance drops it.
+    auto = compile_regex(parse("00|11", AB))
+    table = ViableSymbols(auto)
+    root = table.entry(auto.start_set(), 1)
+    assert table.supports(root, (0b11, 0b11)) == (0b11, 0b11)
+    assert table.supports(root, (0b11, 0b10)) == (0b10, 0b10)
+    assert table.supports(root, (0b01, 0b10)) == ()
+    assert table.supports(root, (0b11, 0b10)) is table.supports(root, (0b11, 0b10))
+
+
+def test_line_supports_match_brute_force():
+    # Per cell, the symbols of its mask that some accepted word reading
+    # every cell within its mask uses; flat automata and root products.
+    rng = random.Random(16)
+    for _ in range(150):
+        auto = compile_regex(random_regex(rng, AB, depth=3))
+        table = ViableSymbols(auto)
+        length = rng.randint(1, 4)
+        masks = tuple(rng.choice((0b01, 0b10, 0b11, 0b11)) for _ in range(length))
+        want = [0] * length
+        for w in itertools.product((0, 1), repeat=length):
+            if all(masks[t] >> s & 1 for t, s in enumerate(w)) and matches(auto, "".join(map(str, w))):
+                for t, s in enumerate(w):
+                    want[t] |= 1 << s
+        root = table.entry(auto.start_set(), length - 1)
+        assert table.supports(root, masks) == (tuple(want) if want[0] else ())
 
 
 def test_enumerate_language_steps_each_state_set_once(monkeypatch):

@@ -24,7 +24,7 @@ from rxc.solver import (
     verify,
 )
 
-from util import AB, all_words, random_puzzle, random_regex, record_steps
+from util import AB, all_words, random_puzzle, random_regex, record_steps, record_supports
 
 
 def test_verify_uniform_zeroes():
@@ -134,6 +134,52 @@ def test_search_follows_links_between_cells(monkeypatch):
     m, n = 3, 4
     assert count_grids(uniform_puzzle(any_word, any_word), m, n) == 2 ** (m * n)
     assert 0 < len(lookups) <= 2 * len(AB) * (m + n + 2)
+
+
+def _word_union(rng, alphabet, length):
+    words = {"".join(rng.choice(alphabet.tokens) for _ in range(length))
+             for _ in range(rng.randint(2, 5))}
+    return parse("|".join(sorted(words)), alphabet)
+
+
+def test_propagating_search_matches_oracle(monkeypatch):
+    # Per-line unions of a few words: a completed row often leaves the
+    # rows below no grid, so about half the searches meet a dead row and
+    # go on propagating at row boundaries.  Every verb agrees with brute
+    # force, in order.
+    calls = record_supports(monkeypatch)
+    rng = random.Random(16)
+    armed = 0
+    for _ in range(200):
+        alphabet = Alphabet(tuple("012"[:rng.choice((2, 2, 3))]))
+        m, n = rng.randint(2, 4), rng.randint(2, 4 if len(alphabet) == 2 else 3)
+        p = Puzzle(alphabet, tuple(_word_union(rng, alphabet, n) for _ in range(m)),
+                   tuple(_word_union(rng, alphabet, m) for _ in range(n)))
+        want = [g.cells for g in brute_force_crosswords(p, m, n)]
+        calls.clear()
+        assert [g.cells for g in enumerate_grids(p, m, n)] == want
+        armed += bool(calls)
+        assert count_grids(p, m, n) == len(want)
+        assert is_unique(p, m, n) == (len(want) == 1)
+        first = solve(p, m, n)
+        assert (first.cells if first else None) == (want[0] if want else None)
+    assert armed >= 50
+
+
+def test_forward_checking_searches_never_propagate(monkeypatch):
+    # Every completed row of these leaves a grid below it, so no search
+    # meets a dead row and none walks a line's supports.
+    calls = record_supports(monkeypatch)
+    any_word = parse("(0|1)*", AB)
+    assert count_grids(uniform_puzzle(any_word, any_word), 3, 4) == 2 ** 12
+    ordered = parse("0*1*", AB)
+    assert count_grids(uniform_puzzle(ordered, ordered), 7, 7) == 3432
+    machine = demo_machine()
+    mk = marker_alphabet(machine)
+    row, col = row_expression(machine, "a", mk), column_expression(machine, mk)
+    assert solve(uniform_puzzle(row, col), 6, 4) is not None
+    assert decide_unbounded_width([row] * 6, col).width == 4
+    assert calls == []
 
 
 def test_search_steps_only_readable_symbols(monkeypatch):

@@ -8,7 +8,7 @@ import random
 from hypothesis import strategies as st
 
 from rxc.grids import Grid
-from rxc.nfa import Nfa, compile_regex
+from rxc.nfa import Nfa, ViableSymbols, compile_regex
 from rxc.oracle import CnfFormula, GraphInstance
 from rxc.puzzle import Puzzle, uniform_puzzle
 from rxc.rex import (
@@ -83,6 +83,20 @@ def record_steps(monkeypatch) -> list[tuple[int, object, int]]:
         return real_step(self, states, sym_id)
 
     monkeypatch.setattr(Nfa, "step", recording_step)
+    return calls
+
+
+def record_supports(monkeypatch) -> list:
+    """Record the masks of every ``ViableSymbols.supports`` call, one
+    line walked by the search's row-boundary propagation."""
+    calls = []
+    real_supports = ViableSymbols.supports
+
+    def recording_supports(self, entry, masks):
+        calls.append(masks)
+        return real_supports(self, entry, masks)
+
+    monkeypatch.setattr(ViableSymbols, "supports", recording_supports)
     return calls
 
 
