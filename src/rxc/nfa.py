@@ -7,8 +7,12 @@ other tree compiles to one flat NFA (``Nfa``) by Thompson's inductive
 construction over symbol classes: a literal, or a union of literals
 only, is one mask of symbols, placed on one labelled edge per symbol
 with no epsilon-edge of its own.  Inside a flat NFA a
-nested intersection becomes the explicit reachable-state product of its
-parts, trimmed to the states that can reach acceptance.
+nested intersection becomes the explicit reachable product of its
+parts' kernel closures, trimmed to the states that can reach
+acceptance: each part's components are the distinct kernel closures of
+its start state and of its labelled-edge targets, and a product state
+holds one component per part and steps on symbols only, so the
+product's only epsilon-edges lead from its accepting states to one exit.
 
 State sets are integer bitmasks for flat automata and tuples of part
 sets for products.  A flat set holds only kernel states:
@@ -39,6 +43,7 @@ uses.
 from __future__ import annotations
 
 from collections import deque
+from itertools import product as tuples
 from typing import Iterable, Iterator, Sequence, Union as TUnion
 
 from .records import record
@@ -490,7 +495,10 @@ class _Builder:
     edges are the last ones added.  Its parent adds edges only into its entry and
     out of its exit, though the entry may have in-edges and the exit
     out-edges of its own.  A nested intersection replaces its parts'
-    fragments by their explicit product.
+    fragments by their explicit product (``_closure_product``): one state
+    per reachable tuple of the parts' kernel closures that can still
+    accept, labelled edges between them, and one epsilon-edge from each
+    accepting tuple to a fresh exit.
     """
 
     def __init__(self, alphabet: Alphabet):
@@ -617,32 +625,30 @@ class _Builder:
 
     def product(self, kids: Sequence[tuple[int, int, int]]) -> tuple[int, int, int]:
         """Take the parts' fragments, the last states and edges built,
-        out of the automaton and put their explicit product in place.
+        out of the automaton and put their closure product in place, with
+        one fresh exit that every accepting product state reaches by an
+        epsilon-edge.
 
         The parts' states tile the range from their lowest first state
-        on, in the order of their first states, which is not the order
-        of the parts: a class or run is placed after every other part."""
-        firsts = sorted(lo for lo, _, _ in kids)
-        first = firsts[0]
-        ends = dict(zip(firsts, firsts[1:] + [self.count]))
+        on, and every edge whose source lies in that range belongs to
+        one of them."""
+        first = min(lo for lo, _, _ in kids)
         eps, lab = self.eps, self.lab
         i, j = len(eps), len(lab)
         while i and eps[i - 1][0] >= first:
             i -= 1
         while j and lab[j - 1][0] >= first:
             j -= 1
-        # Each part as (start, accepting state, its edges): the edges
-        # whose source lies in its fragment.
-        parts = [(s, t, [e for e in eps[i:] if lo <= e[0] < ends[lo]],
-                  [e for e in lab[j:] if lo <= e[0] < ends[lo]]) for lo, s, t in kids]
-        count, final, sub_eps, sub_lab = _explicit_product(parts, len(self.alphabet))
+        count, finals, sub_lab = _closure_product(
+            self.count - first, [(s - first, t - first) for _, s, t in kids],
+            [(u - first, v - first) for u, v in eps[i:]],
+            [(u - first, a, v - first) for u, a, v in lab[j:]])
         del eps[i:], lab[j:]
-        eps.extend((first + u, first + v) for u, v in sub_eps)
         lab.extend((first + u, a, first + v) for u, a, v in sub_lab)
         exit_state = first + count
         self.count = exit_state + 1
-        if final is not None:
-            eps.append((first + final, exit_state))
+        for f in finals:
+            eps.append((first + f, exit_state))
         return first, first, exit_state
 
 
@@ -653,70 +659,91 @@ def _thompson(node: Node, alphabet: Alphabet) -> Nfa:
     return Nfa(alphabet, b.count, start, [accept], b.eps, b.lab)
 
 
-def _explicit_product(
-    parts: Sequence[tuple[int, int, list[tuple[int, int]], list[tuple[int, int, int]]]],
-    nsyms: int,
-) -> tuple[int, int | None, list[tuple[int, int]], list[tuple[int, int, int]]]:
-    """Reachable synchronous product with pairwise epsilon interleaving,
+def _closure_product(
+    size: int,
+    parts: Sequence[tuple[int, int]],
+    eps: Sequence[tuple[int, int]],
+    lab: Sequence[tuple[int, int, int]],
+) -> tuple[int, list[int], list[tuple[int, int, int]]]:
+    """Reachable synchronous product of the parts' kernel closures,
     trimmed to the states that can reach acceptance.
 
-    Each part is (start, accepting state, epsilon edges, labelled
-    edges).  The product is (state count, accepting state or None,
-    epsilon edges, labelled edges), with start state 0.
+    The parts are disjoint fragments of one automaton of ``size``
+    states with these epsilon and labelled edges, each given as (start,
+    accepting state).  A part's components are the distinct kernel
+    closures of its start state and of its labelled-edge targets, all
+    taken in one pass (``_kernel_closures``); with no epsilon-edge a
+    state's closure is its own kernel bit.  Targets with equal closures
+    have the same future, so they are one component.  A product state
+    holds one component per part and starts at the start closures.  On
+    a symbol it steps to every tuple of the components of the targets
+    its components' kernel states reach on that symbol, so the product
+    has no epsilon-edge and at most the product over the parts of
+    (targets + 1) states.  It accepts when every component holds its
+    part's accepting state.  The result is (state count, accepting
+    states, labelled edges), with start state 0.
     """
-    start = tuple(p[0] for p in parts)
-    index = {start: 0}
-    order = [start]
-    eps: list[tuple[int, int]] = []
-    lab: list[tuple[int, int, int]] = []
-    eps_adj = []
-    lab_adj = []
-    for _, _, part_eps, part_lab in parts:
-        ea: dict[int, list[int]] = {}
-        for s, t in part_eps:
-            ea.setdefault(s, []).append(t)
-        la: dict[tuple[int, int], list[int]] = {}
-        for s, a, t in part_lab:
-            la.setdefault((s, a), []).append(t)
-        eps_adj.append(ea)
-        lab_adj.append(la)
-    queue = deque([start])
-    width = len(parts)
-    while queue:
-        u = queue.popleft()
-        ui = index[u]
-        for i in range(width):
-            for t in eps_adj[i].get(u[i], ()):
-                v = u[:i] + (t,) + u[i + 1:]
-                vi = index.get(v)
-                if vi is None:
-                    vi = index[v] = len(order)
-                    order.append(v)
-                    queue.append(v)
-                eps.append((ui, vi))
-        for a in range(nsyms):
-            targets = [lab_adj[i].get((u[i], a)) for i in range(width)]
-            if any(t is None for t in targets):
-                continue
-            combos = [()]
-            for tlist in targets:
-                combos = [c0 + (t,) for c0 in combos for t in tlist]
-            for v in combos:
-                vi = index.get(v)
-                if vi is None:
-                    vi = index[v] = len(order)
-                    order.append(v)
-                    queue.append(v)
-                lab.append((ui, a, vi))
-    final = index.get(tuple(p[1] for p in parts))
+    own = [0] * size
+    for _, accept in parts:
+        own[accept] = 1 << accept
+    for s, _, _ in lab:
+        own[s] = 1 << s
+    if eps:
+        eps_adj: list[list[int]] = [[] for _ in range(size)]
+        for s, t in eps:
+            eps_adj[s].append(t)
+        closures = _kernel_closures(eps_adj, own, {*(s for s, _ in parts), *(t for _, _, t in lab)})
+    else:
+        closures = own
+    # Per state, per symbol: the components of its targets.  An empty
+    # closure can neither read nor accept, so it is left out.  The parts'
+    # states are disjoint, so one table serves them all.
+    reach: dict[int, dict[int, set[int]]] = {}
+    for s, a, t in lab:
+        if closures[t]:
+            reach.setdefault(s, {}).setdefault(a, set()).add(closures[t])
+    # A component of one kernel state moves as that state does.
+    moves = {1 << s: got for s, got in reach.items()}
+
+    def moves_of(comp: int) -> dict[int, set[int]]:
+        """Per symbol, the components that a component steps to."""
+        got: dict[int, set[int]] = {}
+        for s in _bits(comp):
+            for a, cs in reach.get(s, {}).items():
+                got.setdefault(a, set()).update(cs)
+        moves[comp] = got
+        return got
+
+    start = [closures[s] for s, _ in parts]
+    finals = [1 << accept for _, accept in parts]
+    index = {tuple(start): 0}
+    order = list(index)
+    edges: list[tuple[int, int, int]] = []
+    accepting = []
+    for ui, u in enumerate(order):
+        steps = [moves[c] if c in moves else moves_of(c) for c in u]
+        if all(c & f for c, f in zip(u, finals)):
+            accepting.append(ui)
+        for a, cs in steps[0].items():
+            rows = [cs]
+            for other in steps[1:]:
+                cs = other.get(a)
+                if cs is None:
+                    break
+                rows.append(cs)
+            else:
+                for v in tuples(*rows):
+                    vi = index.get(v)
+                    if vi is None:
+                        vi = index[v] = len(order)
+                        order.append(v)
+                    edges.append((ui, a, vi))
     # Keep the states that can reach acceptance, in their order: a state
     # that cannot would put symbols that lead nowhere into read masks.
     into: list[list[int]] = [[] for _ in order]
-    for s, t in eps:
+    for s, _, t in edges:
         into[t].append(s)
-    for s, _, t in lab:
-        into[t].append(s)
-    alive = set() if final is None else {final}
+    alive = set(accepting)
     todo = list(alive)
     while todo:
         for s in into[todo.pop()]:
@@ -724,12 +751,11 @@ def _explicit_product(
                 alive.add(s)
                 todo.append(s)
     if 0 not in alive:
-        return 1, None, [], []
+        return 1, [], []
     new = {s: i for i, s in enumerate(sorted(alive))}
     # The source of an edge into a kept state is kept too.
-    return (len(new), new[final],
-            [(new[s], new[t]) for s, t in eps if t in new],
-            [(new[s], a, new[t]) for s, a, t in lab if t in new])
+    return (len(new), [new[s] for s in accepting],
+            [(new[s], a, new[t]) for s, a, t in edges if t in new])
 
 
 def compile_regex(r: Regex) -> Automaton:
@@ -738,10 +764,12 @@ def compile_regex(r: Regex) -> Automaton:
     An intersection at the root becomes a ``ProductAuto`` of its parts,
     each compiled flat; everything else, nested intersections included,
     compiles to one flat ``Nfa``, where each intersection becomes the
-    explicit reachable product of its parts, which stays polynomial in
-    the operand sizes.  A union of intersections is therefore flat;
-    write it as an intersection of unions, as ``squarify_col_expr``
-    does, to keep its parts implicit.
+    explicit reachable product of its parts' kernel closures.  That
+    product stays polynomial in the operand sizes: at most the product
+    over the parts of (labelled-edge targets + 1) states, plus one
+    exit.  A union of intersections is therefore flat; write it as an
+    intersection of unions, as ``squarify_col_expr`` does, to keep its
+    parts implicit.
     """
     node, alphabet = r.node, r.alphabet
     if isinstance(node, Inter):

@@ -107,9 +107,11 @@ def test_c03_nonhalting_machine_has_no_grid():
     mk = marker_alphabet(machine)
     row = row_expression(machine, "a", mk)
     col = column_expression(machine, mk)
+    merged = merge_rc(row, col)
     for m in range(1, 9):
         assert not decide_unbounded_width([row] * m, col).exists
-    _report(3, "non-halting machine yields no width", "row counts 1..8", started)
+        assert not decide_unbounded_width([merged] * m, merged).exists
+    _report(3, "non-halting machine yields no width", "row counts 1..8, (R,C) and (E,E)", started)
 
 
 def test_c04_square_padding():
@@ -418,3 +420,44 @@ def test_c10_width_decider_vs_bounded_search():
         assert not decide_unbounded_width(rows, parse(col_text, AB)).exists
     _report(10, "width decider agrees with bounded search",
             "100 random + 10 engineered negatives", started)
+
+
+def _least_rows(row, col):
+    """The least row count m with a width, and the decision at m."""
+    m = 1
+    while True:
+        result = decide_unbounded_width([row] * m, col)
+        if result.exists:
+            return m, result
+        m += 1
+
+
+def test_c11_least_row_counts_give_the_tableau():
+    # Paper results 3 and 4: raise the row count m from 1.  For (R,C) the
+    # least m with a width is the tableau's row count and the witness is
+    # the tableau; for the merged E = merge_rc(R, C) as both row and
+    # column it is min(rows, cols) + 1, and the witness is the framed
+    # tableau, transposed.
+    started = time.time()
+    cases = [
+        (demo_machine(), "a", (6, 4), (5, 7)),
+        (demo_machine(), "aa", (7, 5), (6, 8)),
+        (overwriting_machine(), "ab", (8, 5), (6, 9)),
+        (zigzag_machine(), "a", (9, 4), (5, 10)),
+    ]
+    for machine, w, rc, ee in cases:
+        tableau = build_tableau(simulate(machine, w, 1000))
+        assert (tableau.m, tableau.n) == rc
+        assert min(rc) + 1 == ee[0]
+        mk = marker_alphabet(machine)
+        row, col = row_expression(machine, w, mk), column_expression(machine, mk)
+        m, result = _least_rows(row, col)
+        assert (m, result.width) == rc
+        assert result.grid.cells == tableau.cells
+        merged = merge_rc(row, col)
+        m, result = _least_rows(merged, merged)
+        assert (m, result.width) == ee
+        assert result.grid.cells == rho_encode(tableau).transpose().cells
+        inner, flipped = rho_decode(result.grid)
+        assert flipped and inner.cells == tableau.cells
+    _report(11, "least row counts give the tableau, (R,C) and (E,E)", "4 halting runs", started)

@@ -157,6 +157,18 @@ def test_nested_intersection_of_literal_runs():
             assert matches(auto, w) == regex_matches(r, w), w
 
 
+def test_nested_intersection_of_many_closures_stays_small():
+    # Each part is a star of optional symbols, so its epsilon-closures
+    # are large and many of its edge targets share one; a product that
+    # interleaved the parts' epsilon-moves built 19,604 states here.
+    r = parse("((0?1?0?1?0?1?)*&(1?0?1?0?1?0?)*&(0?0?1?1?)*&(1?1?0?0?)*)*0", AB)
+    auto = compile_regex(r)
+    assert isinstance(auto, Nfa) and auto.state_count <= 20
+    for n in range(9):
+        for w in all_words(AB, n):
+            assert matches(auto, w) == (n > 0 and w[-1].token == "0"), w
+
+
 def test_sets_hold_only_reading_or_accepting_states():
     rng = random.Random(11)
     for k in range(200):

@@ -1,6 +1,7 @@
 """Property tests against the reference semantics: the automata layer
-against ``regex_matches``, on random trees and on trees heavy in symbol
-classes, the printer against the parser, and the cell
+against ``regex_matches``, on random trees, on trees heavy in symbol
+classes and on intersections of epsilon-heavy operands nested under a
+closure or a concatenation, the printer against the parser, and the cell
 search against the brute-force oracle on puzzles with a separate random
 expression for every row and column; the read masks of the automata
 against their steps; the closures the ``Nfa`` constructor takes
@@ -132,6 +133,59 @@ def test_class_shapes_agree_with_reference(case):
     assert [w for w in words if matches(auto, w)] == accepted
     assert enumerate_language(auto, 4) == [
         "".join(s.token for s in w) for w in accepted if len(w) <= 4]
+
+
+def _epsilon_tree(rng: random.Random, alphabet, depth: int) -> Node:
+    """A random operand heavy in epsilon-edges: concatenations of opt,
+    star and plus of classes at the leaves; opt, star and plus of such
+    placed parts, unions and concatenations of them, and intersections
+    inside the operand above."""
+
+    def cls() -> Node:
+        lits = [Lit(s) for s in rng.sample(alphabet.symbols, rng.randint(1, len(alphabet)))]
+        return Union(tuple(lits)) if len(lits) > 1 else lits[0]
+
+    if depth <= 0:
+        parts = tuple(rng.choice([Opt, Opt, Star, Plus])(cls()) for _ in range(rng.randint(1, 3)))
+        return parts[0] if len(parts) == 1 else Concat(parts)
+    op = rng.choice(["opt", "star", "plus", "union", "union", "concat", "inter"])
+    sub = [_epsilon_tree(rng, alphabet, depth - 1) for _ in range(2)]
+    if op == "union":
+        return Union(tuple(sub + ([cls()] if rng.random() < 0.3 else [])))
+    if op == "concat":
+        return Concat(tuple(sub))
+    if op == "inter":
+        return Inter(tuple(sub))
+    return {"opt": Opt, "star": Star, "plus": Plus}[op](sub[0])
+
+
+@st.composite
+def nested_intersections(draw):
+    """An intersection of 2 to 4 epsilon-heavy operands under a star,
+    plus or opt, or inside a concatenation, so that it compiles to an
+    explicit product, and the longest word length to check it on."""
+    alphabet, max_len = draw(st.sampled_from([(AB, 6), (ABC, 4)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    parts = draw(st.integers(2, 4))
+    node: Node = Inter(tuple(_epsilon_tree(rng, alphabet, rng.randint(0, 2)) for _ in range(parts)))
+    wrap = draw(st.sampled_from(["star", "plus", "opt", "before", "after"]))
+    if wrap == "before":
+        node = Concat((Lit(rng.choice(alphabet.symbols)), node))
+    elif wrap == "after":
+        node = Concat((node, Lit(rng.choice(alphabet.symbols))))
+    else:
+        node = {"star": Star, "plus": Plus, "opt": Opt}[wrap](node)
+    return Regex(node, alphabet), max_len
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(nested_intersections())
+def test_nested_intersections_agree_with_reference(case):
+    r, max_len = case
+    auto = compile_regex(r)
+    assert isinstance(auto, Nfa)
+    words = [w for n in range(max_len + 1) for w in all_words(r.alphabet, n)]
+    assert [w for w in words if matches(auto, w)] == [w for w in words if regex_matches(r, w)]
 
 
 @SETTINGS
