@@ -37,10 +37,6 @@ class MarkerAlphabet:
         return list(self._unscanned.values())
 
     @property
-    def scanned_all(self) -> list[Symbol]:
-        return list(self._scanned.values())
-
-    @property
     def transmission_all(self) -> list[Symbol]:
         return list(self._transmission.values())
 

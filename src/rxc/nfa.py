@@ -13,6 +13,8 @@ acceptance: each part's components are the distinct kernel closures of
 its start state and of its labelled-edge targets, and a product state
 holds one component per part and steps on symbols only, so the
 product's only epsilon-edges lead from its accepting states to one exit.
+Emptiness (``is_empty``) compiles flat whatever the root, so every
+product it reads is exact.
 
 State sets are integer bitmasks for flat automata and tuples of part
 sets for products.  A flat set holds only kernel states:
@@ -42,7 +44,6 @@ uses.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import product as tuples
 from typing import Iterable, Iterator, Sequence, Union as TUnion
 
@@ -800,46 +801,18 @@ def step(auto: Automaton, states, sym: TUnion[Symbol, str, int]):
     return auto.step(states, sym_id)
 
 
-def _state_tuples(masks: Sequence[int]) -> list[tuple[int, ...]]:
-    """Every tuple of one state from each mask."""
-    combos: list[tuple[int, ...]] = [()]
-    for mask in masks:
-        combos = [c + (s,) for c in combos for s in _bits(mask)]
-    return combos
+def is_empty(r: Regex) -> bool:
+    """True iff ``r`` matches no word at all.
 
-
-def _product_nonempty(children: Sequence[Nfa], allowed: Sequence[int]) -> bool:
-    """Lazy BFS over joint states; True iff a common word over the
-    ``allowed`` symbols is accepted."""
-    ids = range(len(children))
-    queue = deque(_state_tuples([c.start_set() for c in children]))
-    seen = set(queue)
-    acc_masks = [c._accept_mask for c in children]
-    while queue:
-        u = queue.popleft()
-        if all(1 << u[i] & acc_masks[i] for i in ids):
-            return True
-        for a in allowed:
-            targets = [children[i]._trans[u[i]].get(a, 0) for i in ids]
-            if 0 in targets:
-                continue
-            for v in _state_tuples(targets):
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-    return False
-
-
-def is_empty(auto: Automaton) -> bool:
-    """True iff the automaton accepts no word at all."""
-    return is_empty_restricted(auto, range(len(auto.alphabet)))
-
-
-def is_empty_restricted(auto: Automaton, allowed_ids: Iterable[int]) -> bool:
-    """Emptiness of the language intersected with ``allowed_ids``-only words."""
-    allowed = sorted(set(allowed_ids))
-    children = auto.children if isinstance(auto, ProductAuto) else (auto,)
-    return not _product_nonempty(children, allowed)
+    ``r`` compiles to one flat automaton, a root intersection included,
+    so every intersection in it is the exact product of its parts'
+    kernel closures, trimmed to the states that can still accept; the
+    language is then empty iff the start set cannot reach acceptance.
+    The price of that one bit is the whole trimmed product: the build
+    does not stop at the first accepting tuple.
+    """
+    auto = _thompson(r.node, r.alphabet)
+    return not auto.feasible(auto.start_set(), None)
 
 
 def enumerate_language(auto: Automaton, max_len: int) -> list[str]:

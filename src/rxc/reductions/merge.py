@@ -39,10 +39,6 @@ class MergedAlphabet:
     diamond: str
     spade: str
 
-    @property
-    def base_size(self) -> int:
-        return len(self.alphabet) - 3
-
 
 def merged_alphabet(base: Alphabet) -> MergedAlphabet:
     """The base alphabet plus the three edge markers, appended in order."""
@@ -113,7 +109,7 @@ def _try_decode(grid: Grid) -> Grid | None:
     return Grid(Alphabet(base_tokens), inner)
 
 
-def rho_decode(grid: Grid, allow_transpose: bool = True) -> tuple[Grid, bool]:
+def rho_decode(grid: Grid) -> tuple[Grid, bool]:
     """Strip the frame, transposing first if needed.
 
     The last three alphabet symbols are taken to be the edge markers,
@@ -123,8 +119,7 @@ def rho_decode(grid: Grid, allow_transpose: bool = True) -> tuple[Grid, bool]:
     direct = _try_decode(grid)
     if direct is not None:
         return direct, False
-    if allow_transpose:
-        flipped = _try_decode(grid.transpose())
-        if flipped is not None:
-            return flipped, True
+    flipped = _try_decode(grid.transpose())
+    if flipped is not None:
+        return flipped, True
     raise MergeDecodeError("grid does not carry well-formed edge markers")

@@ -51,8 +51,8 @@ from typing import Iterator, Sequence
 from .grids import Grid
 from .puzzle import Puzzle
 from .records import record
-from .rex import Regex, is_positive, regex_matches
-from .nfa import Automaton, ViableSymbols, compile_regex, is_empty_restricted, matches
+from .rex import Regex, inter, is_positive, lit, plus, regex_matches, union_
+from .nfa import Automaton, ViableSymbols, compile_regex, is_empty, matches
 
 
 class DimensionError(ValueError):
@@ -287,19 +287,19 @@ def is_plural(row_expr: Regex, col_expr: Regex) -> bool:
 
     A 1 x n solution exists iff the row language meets ``A1+``, where
     ``A1`` holds the symbols that match the column expression as a
-    length-1 string (and symmetrically for n x 1), so both checks reduce
-    to restricted emptiness.  Length-1 membership is decided on the
-    tree, which keeps this cheap even for very large expressions.
+    length-1 string (and symmetrically for n x 1), so each check is the
+    emptiness of one intersection, decided on its flat product
+    (``nfa.is_empty``).  Length-1 membership is decided on the tree, and
+    a line that matches no single symbol needs no automaton at all, which
+    keeps this cheap even for very large expressions.
     """
     if not is_positive(row_expr) or not is_positive(col_expr):
         return False
-    alphabet = row_expr.alphabet
-    col_singles = [s.id for s in alphabet if regex_matches(col_expr, (s,))]
-    if col_singles and not is_empty_restricted(compile_regex(row_expr), col_singles):
-        return False
-    row_singles = [s.id for s in alphabet if regex_matches(row_expr, (s,))]
-    if row_singles and not is_empty_restricted(compile_regex(col_expr), row_singles):
-        return False
+    for line, other in ((row_expr, col_expr), (col_expr, row_expr)):
+        singles = [lit(line.alphabet, s.token) for s in line.alphabet
+                   if regex_matches(other, (s,))]
+        if singles and not is_empty(inter([line, plus(union_(singles))])):
+            return False
     return True
 
 
@@ -317,7 +317,10 @@ def decide_unbounded_width(rows: Sequence[Regex], col_expr: Regex) -> WidthResul
     expressions.  Columns are generated symbol by symbol under the
     column automaton; profiles already seen are never revisited, which
     bounds the search by the finite profile space.  On success the
-    least witness width and one witness grid are returned.
+    least witness width and one witness grid are returned.  An
+    expression object that is both a row and the column, as in the (E,
+    E) form, is compiled once and shares one viable-symbol table, whose
+    entries are keyed by symbols left as well as state set.
     """
     if not rows:
         raise ValueError("need at least one row expression")
@@ -326,7 +329,7 @@ def decide_unbounded_width(rows: Sequence[Regex], col_expr: Regex) -> WidthResul
         raise DimensionError("rows and column use different alphabets")
     cache: dict[int, Automaton] = {}
     row_autos = _compiled(rows, cache)
-    col_auto = compile_regex(col_expr)
+    (col_auto,) = _compiled([col_expr], cache)
     m = len(rows)
 
     start = tuple(a.start_set() for a in row_autos)

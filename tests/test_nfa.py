@@ -12,7 +12,6 @@ from rxc.nfa import (
     compile_regex,
     enumerate_language,
     is_empty,
-    is_empty_restricted,
     matches,
     step,
 )
@@ -194,19 +193,25 @@ def test_compile_rule_on_random_trees():
     # parts compiles flat; all else compiles to one flat automaton.
     rng = random.Random(5)
     kinds = set()
+    empties = set()
     for k in range(300):
-        r = random_regex(rng, (AB, ABC)[k % 2], depth=4)
+        alphabet = (AB, ABC)[k % 2]
+        r = random_regex(rng, alphabet, depth=4)
         auto = compile_regex(r)
         kinds.add(type(auto))
         if not isinstance(r.node, Inter):
             assert isinstance(auto, Nfa)
         if isinstance(auto, ProductAuto):
             assert all(isinstance(part, Nfa) for part in auto.children)
-        # The joint search agrees with the backward reach of the same
-        # language compiled flat.
-        flat = flat_automaton(r)
-        assert is_empty(auto) == (not flat.feasible(flat.start_set(), None))
+        # A short word that the reference matcher accepts rules out
+        # emptiness.
+        empty = is_empty(r)
+        empties.add(empty)
+        if empty:
+            for n in range(7):
+                assert not any(regex_matches(r, w) for w in all_words(alphabet, n)), format_regex(r)
     assert kinds == {Nfa, ProductAuto}
+    assert empties == {True, False}
 
 
 def test_explicit_products_keep_only_states_that_can_accept():
@@ -231,15 +236,16 @@ def test_repeated_subtrees_get_their_own_states():
 
 
 def test_is_empty_examples():
-    assert is_empty(compile_regex(parse("0&1", AB)))
-    assert not is_empty(compile_regex(parse("0*", AB)))
-    assert is_empty(compile_regex(parse("0+&1+", AB)))
+    assert is_empty(parse("0&1", AB))
+    assert not is_empty(parse("0*", AB))
+    assert is_empty(parse("0+&1+", AB))
 
 
 def test_is_empty_restricted():
-    auto = compile_regex(parse("0*1", AB))
-    assert is_empty_restricted(auto, [0])       # needs a 1
-    assert not is_empty_restricted(auto, [0, 1])
+    # Restricting a language to some symbols is an intersection with
+    # their plus: 0*1 needs a 1.
+    assert is_empty(parse("0*1&0+", AB))
+    assert not is_empty(parse("0*1&(0|1)+", AB))
 
 
 def test_enumerate_language_order():
@@ -329,7 +335,7 @@ def test_enumerate_language_long_words():
 def test_enumerate_composite_union_of_intersection():
     auto = compile_regex(parse("0*&1*|00", AB))
     assert enumerate_language(auto, 4) == ["", "00"]
-    assert not is_empty(auto)
+    assert not is_empty(parse("0*&1*|00", AB))
 
 
 def test_enumerate_alignment_block():

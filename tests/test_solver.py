@@ -11,7 +11,8 @@ from rxc.markers import marker_alphabet
 from rxc.nfa import Nfa, ViableSymbols
 from rxc.oracle import brute_force_crosswords
 from rxc.puzzle import Puzzle, uniform_puzzle
-from rxc.reductions import column_expression, row_expression
+from rxc import solver
+from rxc.reductions import column_expression, merge_rc, row_expression
 from rxc.rex import Alphabet, is_positive, parse, regex_matches
 from rxc.solver import (
     DimensionError,
@@ -271,6 +272,12 @@ def test_plural_examples():
     assert is_plural(parse("00", AB), parse("00", AB))
     assert not is_plural(parse("0+", AB), parse("0+", AB))
     assert not is_plural(parse("0*", AB), parse("00", AB))  # not positive
+    # One-sided: the 2 x 1 grid of 0s is only an n x 1 solution, found by
+    # the column check; its transpose only by the row check.
+    assert not is_plural(parse("0", AB), parse("00", AB))
+    assert not is_plural(parse("00", AB), parse("0", AB))
+    # Each line matches a single symbol, but not one the other line does.
+    assert is_plural(parse("0", AB), parse("1", AB))
 
 
 def _brute_plural(r, c, bound=6):
@@ -326,6 +333,25 @@ def test_decide_width_negative():
     for m in range(1, 5):
         p = Puzzle(AB, (parse("01", AB), parse("10", AB)), parse("00|11", AB))
         assert solve(p, 2, m) is None
+
+
+def test_decide_width_compiles_a_shared_row_and_column_once(monkeypatch):
+    # The (E, E) form of the merged demo tableau: E is every row and the
+    # column, so one automaton and one table serve both.
+    m = demo_machine()
+    mk = marker_alphabet(m)
+    e = merge_rc(row_expression(m, "a", mk), column_expression(m, mk))
+    calls = []
+    real = solver.compile_regex
+
+    def counting(r):
+        calls.append(r)
+        return real(r)
+
+    monkeypatch.setattr(solver, "compile_regex", counting)
+    res = decide_unbounded_width([e] * 5, e)
+    assert res.exists and res.width == 7
+    assert len(calls) == 1
 
 
 def test_decide_width_refuses_mixed_alphabets():

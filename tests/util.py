@@ -69,7 +69,8 @@ def flat_automaton(r: Regex) -> Nfa:
     """``r`` compiled to one flat automaton: followed by epsilon, no
     intersection sits at the root, so each becomes an explicit product."""
     auto = compile_regex(concat([r, epsilon(r.alphabet)]))
-    assert isinstance(auto, Nfa)
+    if not isinstance(auto, Nfa):
+        raise TypeError(f"expected a flat automaton, got {type(auto).__name__}")
     return auto
 
 
