@@ -1,6 +1,6 @@
 """A laboratory for regular-expression crosswords.
 
-Core pieces: a regex layer with native intersection, an epsilon-NFA
+Core pieces: a regex layer with native intersection, a position-automaton
 engine, an exact grid solver with enumeration/counting/uniqueness, a
 width-unbounded existence decider, Turing machine simulation with run
 tableaux, and the constructive reductions connecting machine halting,

@@ -202,8 +202,12 @@ def _cmd_merge(args) -> int:
     puzzle = read_puzzle(args.puzzle)
     row, col = _uniform_exprs(puzzle)
     merged = merge_rc(row, col)
+    # A p x p solution is framed into a (p + 1) x (p + 1) grid, either
+    # way round; a non-square size has no one merged size.
+    side = puzzle.fixed_rows
+    side = side + 1 if side is not None and side == puzzle.fixed_cols else None
     _emit_puzzle(
-        uniform_puzzle(merged, merged),
+        uniform_puzzle(merged, merged, side, side),
         args.out,
         ["edge-marker merge of the row and column expressions"],
     )

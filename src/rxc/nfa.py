@@ -1,31 +1,27 @@
-"""Epsilon-NFAs compiled from regex trees.
+"""Position automata compiled from regex trees.
 
 There are two automaton kinds, and one rule picks between them.  An
 intersection at the root is an implicit product (``ProductAuto``) of
 its parts' flat automata, with one state set tracked per part; every
-other tree compiles to one flat NFA (``Nfa``) by Thompson's inductive
-construction over symbol classes: a literal, or a union of literals
-only, is one mask of symbols, placed on one labelled edge per symbol
-with no epsilon-edge of its own.  Inside a flat NFA a
-nested intersection becomes the explicit reachable product of its
-parts' kernel closures, trimmed to the states that can reach
-acceptance: each part's components are the distinct kernel closures of
-its start state and of its labelled-edge targets, and a product state
-holds one component per part and steps on symbols only, so the
-product's only epsilon-edges lead from its accepting states to one exit.
-Emptiness (``is_empty``) compiles flat whatever the root, so every
-product it reads is exact.
+other tree compiles to one flat automaton (``Nfa``) by the position
+construction of Glushkov and of McNaughton and Yamada, over symbol
+classes: a literal, or a union of literals only, is one mask of
+symbols, and each such class placed in the tree is one position.  A
+position is entered by reading a symbol of its class; its follow set
+holds the positions that can be entered next.  No automaton has an
+epsilon-edge, so no closure is ever taken.  Inside a flat automaton a
+nested intersection becomes the reachable product of its parts'
+positions, as in Caron, Champarnaud and Mignot (LATA 2011), trimmed to
+the positions that can still end the intersection.  Emptiness
+(``is_empty``) compiles flat whatever the root, so every product it
+reads is exact.
 
 State sets are integer bitmasks for flat automata and tuples of part
-sets for products.  A flat set holds only kernel states:
-those with a labelled out-edge and the accepting states, taken from the
-epsilon-closure of the states reached.  The other states of a closure
-can neither read a symbol nor accept, so leaving them out changes no
-answer, and sets that differed only in them are equal.  A set with no
-kernel state is empty and signals a dead prefix.  The constructor takes
-the kernel closures of the start state and of every labelled-edge
-target in one depth-first pass over the epsilon-graph's strongly
-connected components, with at most one mask OR per epsilon-edge.
+sets for products.  A flat set holds the positions that can be entered
+next, and bit 0, which no position uses, when the word read so far is
+accepted.  A step on a symbol ORs the follow sets of the positions in
+the set whose class holds the symbol.  A set with no bit is empty and
+signals a dead prefix.
 
 Every automaton reports, per state set, the symbols the set can read
 (``readable``); any other symbol steps it to a dead set.
@@ -44,8 +40,7 @@ uses.
 
 from __future__ import annotations
 
-from itertools import product as tuples
-from typing import Iterable, Iterator, Sequence, Union as TUnion
+from typing import Iterator, Sequence, Union as TUnion
 
 from .records import record
 from .rex import (
@@ -74,94 +69,82 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class Nfa:
-    """Flat epsilon-NFA over symbol ids, stepping bitmasks of kernel states.
+    """Flat position automaton over symbol ids, stepping bitmasks of
+    positions.
 
-    The constructor builds the stepping tables from the kernel closures
-    of the start state and the labelled-edge targets, all taken in one
-    pass (``_kernel_closures``).
+    ``classes[q]`` is the mask of the symbols that enter position q and
+    ``follow[q]`` the set entered next, holding bit 0 when q can end a
+    word; ``start`` is the set before any symbol.  Bit 0 is no position,
+    so its class and follow set are empty.  ``state_count`` is the
+    number of bits a set can hold: the positions and bit 0.  The
+    automaton has no epsilon-edge; ``labeled_edges`` lists its edges,
+    one per position, symbol of its class and bit of its follow set,
+    made on each read and never kept.
     """
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        state_count: int,
-        start: int,
-        accepting: Iterable[int],
-        epsilon_edges: Iterable[tuple[int, int]],
-        labeled_edges: Iterable[tuple[int, int, int]],
-    ):
+    epsilon_edges: frozenset[tuple[int, int]] = frozenset()
+
+    def __init__(self, alphabet: Alphabet, start: int,
+                 classes: Sequence[int], follow: Sequence[int]):
+        n, nsyms = len(classes), len(alphabet)
+        if len(follow) != n:
+            raise ValueError(f"{len(follow)} follow sets for {n} classes")
+        if not n or classes[0] or follow[0]:
+            raise ValueError("bit 0 is no position: it needs an empty class and follow set")
+        if not 0 <= start or start.bit_length() > n:
+            raise ValueError(f"start set {start:#x} out of range")
+        pos = [0] * nsyms
+        preds = []
+        for q, (cls, nxt) in enumerate(zip(classes, follow)):
+            if not 0 <= cls or cls.bit_length() > nsyms:
+                raise ValueError(f"class {cls:#x} of position {q} out of range")
+            if not 0 <= nxt or nxt.bit_length() > n:
+                raise ValueError(f"follow set {nxt:#x} of position {q} out of range")
+            if cls:
+                bit = 1 << q
+                for a in _bits(cls):
+                    pos[a] |= bit
+                preds.append((nxt, q))
         self.alphabet = alphabet
-        self.state_count = state_count
+        self.state_count = n
         self.start = start
-        self.accepting = frozenset(accepting)
-        self.epsilon_edges = frozenset(epsilon_edges)
-        self.labeled_edges = frozenset(labeled_edges)
-        n = state_count
-        nsyms = len(alphabet)
-        if not 0 <= start < n:
-            raise ValueError(f"start state {start} out of range")
-        # own[s] is s's bit if s is a kernel state, else 0.
-        own = [0] * n
-        for s in self.accepting:
-            if not 0 <= s < n:
-                raise ValueError(f"accepting state {s} out of range")
-            own[s] = 1 << s
-        self._accept_mask = sum(1 << s for s in self.accepting)
-        eps_adj: list[list[int]] = [[] for _ in range(n)]
-        for s, t in self.epsilon_edges:
-            if not (0 <= s < n and 0 <= t < n):
-                raise ValueError(f"epsilon edge {(s, t)} out of range")
-            eps_adj[s].append(t)
-        src = [0] * nsyms
-        reads = [0] * n
-        into: dict[int, int] = {}
-        for s, a, t in self.labeled_edges:
-            if not (0 <= s < n and 0 <= t < n and 0 <= a < nsyms):
-                raise ValueError(f"labelled edge {(s, a, t)} out of range")
-            bit = 1 << s
-            own[s] = bit
-            src[a] |= bit
-            reads[s] |= 1 << a
-            into[t] = into.get(t, 0) | bit
-        closures = _kernel_closures(eps_adj, own, {start, *into})
-        trans: list[dict[int, int]] = [{} for _ in range(n)]
-        for s, a, t in self.labeled_edges:
-            row = trans[s]
-            got = row.get(a)
-            row[a] = closures[t] if got is None else got | closures[t]
-        self._trans = trans
-        self._src = src
-        self._reads = reads
-        # One (closure of t, sources of the edges into t) pair per edge
-        # target t: a state is one symbol before a layer iff one of its
-        # edges leads to a closure that meets the layer.
-        self._preds = [(closures[t], sources) for t, sources in into.items()]
-        self._start_set = closures[self.start]
-        self._reach_layers = [self._accept_mask]
+        self.classes = tuple(classes)
+        self.follow = tuple(follow)
+        self._pos = pos
+        # One (follow set, position) pair per position that can be
+        # entered: it is one symbol before a layer iff its follow set
+        # meets the layer.
+        self._preds = preds
+        self._reach_layers = [1]
         self._reach_any: int | None = None
+
+    @property
+    def labeled_edges(self) -> frozenset[tuple[int, int, int]]:
+        return frozenset((q, a, t) for q, cls in enumerate(self.classes)
+                         for a in _bits(cls) for t in _bits(self.follow[q]))
 
     # -- stepping ------------------------------------------------------
 
     def start_set(self) -> int:
-        return self._start_set
+        return self.start
 
     def step(self, states: int, sym_id: int) -> int:
         out = 0
-        trans = self._trans
-        todo = states & self._src[sym_id]
+        follow = self.follow
+        todo = states & self._pos[sym_id]
         while todo:
             low = todo & -todo
-            out |= trans[low.bit_length() - 1][sym_id]
+            out |= follow[low.bit_length() - 1]
             todo ^= low
         return out
 
     def readable(self, states: int) -> int:
-        """Mask of the symbols some state in ``states`` has an edge on."""
+        """Mask of the symbols that enter some position in ``states``."""
         out = 0
-        reads = self._reads
+        classes = self.classes
         while states:
             low = states & -states
-            out |= reads[low.bit_length() - 1]
+            out |= classes[low.bit_length() - 1]
             states ^= low
         return out
 
@@ -169,21 +152,21 @@ class Nfa:
         return states == 0
 
     def accepts(self, states: int) -> bool:
-        return bool(states & self._accept_mask)
+        return bool(states & 1)
 
     def _preds_of(self, layer: int) -> int:
         out = 0
-        for closure, sources in self._preds:
-            if closure & layer:
-                out |= sources
+        for nxt, q in self._preds:
+            if nxt & layer:
+                out |= 1 << q
         return out
 
     def reach_in(self, steps: int | None) -> int:
-        """Mask of states with some accepting path of exactly ``steps``
+        """Mask of the bits with some accepting path of exactly ``steps``
         symbols, or of any length when ``steps`` is None."""
         if steps is None:
             if self._reach_any is None:
-                alive = frontier = self._accept_mask
+                alive = frontier = 1
                 while frontier:
                     grown = self._preds_of(frontier)
                     frontier = grown & ~alive
@@ -196,83 +179,9 @@ class Nfa:
         return layers[steps]
 
     def feasible(self, states: int, steps: int | None) -> bool:
-        """Can some state in ``states`` accept after exactly ``steps``
+        """Can some bit of ``states`` accept after exactly ``steps``
         more symbols (after any number when ``steps`` is None)?"""
         return states != 0 and bool(states & self.reach_in(steps))
-
-
-def _kernel_closures(
-    eps_adj: list[list[int]], own: list[int], roots: set[int],
-) -> dict[int, int]:
-    """The kernel part of the epsilon-closure of each root.
-
-    ``own[s]`` is state s's kernel bit, or 0.  A closure is the state's
-    own bit ORed with its epsilon-successors' closures, so one iterative
-    depth-first pass over the epsilon-graph (Tarjan's strongly connected
-    components, as in Nuutila's transitive closure) takes them all with
-    at most one OR per edge.  Every state of a component shares its
-    root's mask, and a state whose mask is still 0 shares its
-    successor's instead of ORing a copy.  A state with no epsilon-out-
-    edge is its own component and closes with no frame.  Closed states
-    carry the order number ``done``, which is above every live one, so
-    they never lower a low link.
-    """
-    n = len(own)
-    done = n
-    order = [-1] * n
-    low = [0] * n
-    mask = own[:]
-    comp: list[int] = []  # Tarjan's stack of open states
-    count = 0
-    for r in roots:
-        if order[r] != -1:
-            continue
-        if not eps_adj[r]:
-            order[r] = done
-            continue
-        order[r] = low[r] = count
-        count += 1
-        comp.append(r)
-        frames = [(r, iter(eps_adj[r]))]
-        while frames:
-            v, edges = frames[-1]
-            for w in edges:
-                o = order[w]
-                if o == -1:
-                    if eps_adj[w]:
-                        order[w] = low[w] = count
-                        count += 1
-                        comp.append(w)
-                        frames.append((w, iter(eps_adj[w])))
-                        break
-                    order[w] = o = done
-                if o == done:
-                    got, mine = mask[w], mask[v]
-                    if got and got is not mine:
-                        mask[v] = got | mine if mine else got
-                elif o < low[v]:
-                    low[v] = o
-            else:
-                frames.pop()
-                got = mask[v]
-                if low[v] == order[v]:
-                    while True:
-                        u = comp.pop()
-                        mask[u] = got
-                        order[u] = done
-                        if u == v:
-                            break
-                if frames:
-                    # Fold v into its parent: its final mask if closed,
-                    # else the part gathered so far, since v then shares
-                    # the parent's component and its root ORs in the rest.
-                    u = frames[-1][0]
-                    mine = mask[u]
-                    if got and got is not mine:
-                        mask[u] = got | mine if mine else got
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-    return {r: mask[r] for r in roots}
 
 
 @record
@@ -468,295 +377,206 @@ class ViableSymbols:
 
 # --- compilation -------------------------------------------------------------
 
-class _Builder:
-    """Thompson's construction over symbol classes, one fragment per node
-    in post-order.
+# A placed fragment: (lowest position or None, first positions, last
+# positions, nullable).  Its positions run from the lowest one up to the
+# last position made, and their follow sets hold only its own positions.
+Fragment = tuple[int | None, int, int, bool]
+
+
+def _lowest(parts: Sequence[Fragment]) -> int | None:
+    return min((lo for lo, _, _, _ in parts if lo is not None), default=None)
+
+
+class _Positions:
+    """The position construction over symbol classes, one fragment per
+    node in post-order.
 
     A literal, and a union whose parts are all literals or such unions,
-    is a pending class: the int mask of its symbol ids, with no states
-    yet.  A concatenation of classes and such concatenations is a
-    pending run: the list of its classes.  Their parent places them.  A
-    concatenation chains each run of classes on labelled edges, from the
-    previous part's exit (or a fresh state) through fresh states to the
-    next part's entry (or a fresh state).  A union puts its class on
-    labelled edges between its own two states, and chains each of its
-    runs from the one to the other.  A star of a class or run chains it
-    from one state back to the same state, its entry and exit.  A plus
-    or opt of a class reads it from its entry to its exit, with one
-    epsilon-edge back (plus) or across (opt); a plus with no
-    epsilon-edge would read the class twice, on one more labelled edge
-    per symbol.  Every other parent first gives the class or run states
-    (``place``).  Each chained edge contracts an epsilon-edge of the
-    classic construction whose fresh end has one in-edge or one
-    out-edge, so the language is unchanged, and no union part or
-    literal costs an epsilon-edge.
-
-    A placed fragment is (first, entry, exit).  Its states run from
-    ``first`` up to the first state of the next fragment built, and its
-    edges are the last ones added.  Its parent adds edges only into its entry and
-    out of its exit, though the entry may have in-edges and the exit
-    out-edges of its own.  A nested intersection replaces its parts'
-    fragments by their explicit product (``_closure_product``): one state
-    per reachable tuple of the parts' kernel closures that can still
-    accept, labelled edges between them, and one epsilon-edge from each
-    accepting tuple to a fresh exit.
+    is a pending class: the int mask of its symbol ids, with no position
+    yet.  Its parent places it as one fresh position.  A concatenation
+    links each part's last positions to the first positions of the next
+    part, through nullable parts to the ones after them; a star or plus
+    links its body's last positions to its first.  A union ORs its
+    parts, its pending classes placed together as one position, and
+    epsilon is ``(None, 0, 0, True)``.  No node adds a position beyond
+    one per placed class.  A nested intersection replaces its parts'
+    positions, the last ones made, by their product (``product``).
     """
 
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self.count = 0
-        self.eps: list[tuple[int, int]] = []
-        self.lab: list[tuple[int, int, int]] = []
+    def __init__(self):
+        # Bit 0 is no position; a set holds it once it accepts.
+        self.classes = [0]
+        self.follow = [0]
 
-    def fresh(self) -> int:
-        s = self.count
-        self.count = s + 1
-        return s
-
-    def edges(self, s: int, mask: int, t: int) -> None:
-        """One labelled edge from s to t per symbol of the class."""
-        lab = self.lab
-        while mask:
-            low = mask & -mask
-            lab.append((s, low.bit_length() - 1, t))
-            mask ^= low
-
-    def place(self, kid: TUnion[int, list[int], tuple[int, int, int]]) -> tuple[int, int, int]:
-        """A pending class or run chained through fresh states; a placed
-        fragment as is."""
+    def place(self, kid: TUnion[int, Fragment]) -> Fragment:
+        """A pending class as one fresh position; a placed fragment as is."""
         if isinstance(kid, tuple):
             return kid
-        s, t = self.chain(None, kid if isinstance(kid, list) else [kid], None)
-        return s, s, t
+        q = len(self.classes)
+        self.classes.append(kid)
+        self.follow.append(0)
+        return q, 1 << q, 1 << q, False
 
-    def chain(self, src: int | None, run: Sequence[int], dst: int | None) -> tuple[int, int]:
-        """Chain a run of classes from ``src`` through fresh states to
-        ``dst``, either end fresh when None; return both ends."""
-        if src is None:
-            src = self.fresh()
-        u = src
-        for mask in run[:-1]:
-            v = self.fresh()
-            self.edges(u, mask, v)
-            u = v
-        if dst is None:
-            dst = self.fresh()
-        self.edges(u, run[-1], dst)
-        return src, dst
+    def link(self, last: int, first: int) -> None:
+        """Let every position of ``last`` be followed by ``first``."""
+        if first:
+            follow = self.follow
+            for q in _bits(last):
+                follow[q] |= first
 
-    def fragment(self, node: Node, kids: Sequence) -> TUnion[int, list[int], tuple[int, int, int]]:
+    def fragment(self, node: Node, kids: Sequence) -> TUnion[int, Fragment]:
         if isinstance(node, Lit):
             return 1 << node.sym.id
         if isinstance(node, Eps):
-            s, t = self.fresh(), self.fresh()
-            self.eps.append((s, t))
-            return s, s, t
-        if isinstance(node, Concat):
-            return self.concat(kids)
-        if isinstance(node, Inter):
-            return self.product([self.place(k) for k in kids])
+            return None, 0, 0, True
         if isinstance(node, Union):
             mask = 0
-            runs, placed = [], []
+            parts = []
             for kid in kids:
                 if isinstance(kid, int):
                     mask |= kid
-                elif isinstance(kid, list):
-                    runs.append(kid)
                 else:
-                    placed.append(kid)
-            if not runs and not placed:
+                    parts.append(kid)
+            if not parts:
                 return mask
-            s, t = self.fresh(), self.fresh()
-            self.edges(s, mask, t)
-            for run in runs:
-                self.chain(s, run, t)
-            for _, ps, pt in placed:
-                self.eps.extend([(s, ps), (pt, t)])
-            return (placed[0][0] if placed else s), s, t
-        body = kids[0]
-        if isinstance(node, Star) and not isinstance(body, tuple):
-            s = self.fresh()
-            self.chain(s, body if isinstance(body, list) else [body], s)
-            return s, s, s
-        if isinstance(node, (Plus, Opt)) and isinstance(body, int):
-            s, t = self.fresh(), self.fresh()
-            self.edges(s, body, t)
-            self.eps.append((t, s) if isinstance(node, Plus) else (s, t))
-            return s, s, t
+            if mask:
+                parts.append(self.place(mask))
+            first = last = 0
+            for _, f, l, _ in parts:
+                first |= f
+                last |= l
+            return _lowest(parts), first, last, any(p[3] for p in parts)
+        parts = [self.place(kid) for kid in kids]
+        if isinstance(node, Concat):
+            first = last = 0
+            nullable = True
+            for _, f, l, n in parts:
+                self.link(last, f)
+                if nullable:
+                    first |= f
+                last = l | last if n else l
+                nullable = nullable and n
+            return _lowest(parts), first, last, nullable
+        if isinstance(node, Inter):
+            return self.product(parts)
         if isinstance(node, (Star, Plus, Opt)):
-            first, bs, bt = self.place(body)
-            s, t = self.fresh(), self.fresh()
-            self.eps.extend([(s, bs), (bt, t)])
+            lo, first, last, nullable = parts[0]
             if not isinstance(node, Opt):
-                self.eps.append((bt, bs))  # repeat
-            if not isinstance(node, Plus):
-                self.eps.append((s, t))  # skip
-            return first, s, t
+                self.link(last, first)
+            return lo, first, last, nullable or not isinstance(node, Plus)
         raise TypeError(f"unknown node {node!r}")
 
-    def concat(self, kids: Sequence) -> TUnion[list[int], tuple[int, int, int]]:
-        """Join placed parts by epsilon-edges and chain the runs of
-        classes between them; with no placed part, the pending run."""
-        first = entry = exit_state = None
-        run: list[int] = []
-        for kid in kids:
-            if isinstance(kid, int):
-                run.append(kid)
-                continue
-            if isinstance(kid, list):
-                run.extend(kid)
-                continue
-            kid_first, kid_entry, kid_exit = kid
-            if run:
-                src, _ = self.chain(exit_state, run, kid_entry)
-                run = []
-            else:
-                src = kid_entry
-                if exit_state is not None:
-                    self.eps.append((exit_state, kid_entry))
-            if first is None:
-                first, entry = kid_first, src
-            exit_state = kid_exit
-        if first is None:
-            return run
-        if run:
-            _, exit_state = self.chain(exit_state, run, None)
-        return first, entry, exit_state
+    def product(self, parts: Sequence[Fragment]) -> Fragment:
+        """Replace the parts' positions, the last ones made, by the
+        reachable product of their futures, trimmed to the positions
+        that can still end it.
 
-    def product(self, kids: Sequence[tuple[int, int, int]]) -> tuple[int, int, int]:
-        """Take the parts' fragments, the last states and edges built,
-        out of the automaton and put their closure product in place, with
-        one fresh exit that every accepting product state reaches by an
-        epsilon-edge.
+        A component is a distinct future of a part's position, its
+        follow set and whether it ends the part, interned to a small
+        int; the parts' start components are their first sets and
+        nullability.  A tuple holds one component per part, starting at
+        the start components.  From a tuple, each choice of one
+        successor component per part whose entering classes share a
+        symbol enters one product position, keyed by (the AND of those
+        classes, the successor tuple); a component's entering class for
+        a successor is the OR of the classes of its follow set's
+        positions with that component.  A position's follow set is then
+        the set its tuple enters, and it ends the product when every
+        component of its tuple ends its part.
+        """
+        nullable = all(p[3] for p in parts)
+        lo = _lowest(parts)
+        if lo is None:
+            return None, 0, 0, nullable
+        start, moves, ends = self._components(lo, parts)
+        classes, follow = self.classes, self.follow
+        index = {start: 0}
+        tuples = [start]
+        keyed: dict[tuple[int, int], int] = {}
+        entered: list[tuple[int, int]] = []  # (class, tuple) per position
+        succ: list[list[int]] = []  # per tuple, the positions it enters
+        for u in tuples:
+            choices: list[tuple[int, tuple[int, ...]]] = [(-1, ())]
+            for c in u:
+                choices = [(m & cls, v + (d,)) for m, v in choices
+                           for d, cls in moves[c] if m & cls]
+            out = []
+            for m, v in choices:
+                t = index.setdefault(v, len(tuples))
+                if t == len(tuples):
+                    tuples.append(v)
+                p = keyed.setdefault((m, t), len(entered))
+                if p == len(entered):
+                    entered.append((m, t))
+                out.append(p)
+            succ.append(out)
+        # Keep the positions whose tuple can still end: any other would
+        # put symbols that lead nowhere into read masks.
+        ending = [all(ends[c] for c in v) for v in tuples]
+        alive = ending[:]
+        into: list[list[int]] = [[] for _ in tuples]
+        for u, out in enumerate(succ):
+            for p in out:
+                into[entered[p][1]].append(u)
+        todo = [t for t, ok in enumerate(alive) if ok]
+        while todo:
+            for u in into[todo.pop()]:
+                if not alive[u]:
+                    alive[u] = True
+                    todo.append(u)
+        new: dict[int, int] = {}
+        for p, (m, t) in enumerate(entered):
+            if alive[t]:
+                new[p] = len(classes)
+                classes.append(m)
+        if not new:
+            return None, 0, 0, nullable
+        # A tuple enters each of its positions once, so a sum is an OR.
+        enters = [sum(1 << new[p] for p in out if p in new) for out in succ]
+        last = 0
+        for p, q in new.items():
+            t = entered[p][1]
+            follow.append(enters[t])
+            if ending[t]:
+                last |= 1 << q
+        return lo, enters[0], last, nullable
 
-        The parts' states tile the range from their lowest first state
-        on, and every edge whose source lies in that range belongs to
-        one of them."""
-        first = min(lo for lo, _, _ in kids)
-        eps, lab = self.eps, self.lab
-        i, j = len(eps), len(lab)
-        while i and eps[i - 1][0] >= first:
-            i -= 1
-        while j and lab[j - 1][0] >= first:
-            j -= 1
-        count, finals, sub_lab = _closure_product(
-            self.count - first, [(s - first, t - first) for _, s, t in kids],
-            [(u - first, v - first) for u, v in eps[i:]],
-            [(u - first, a, v - first) for u, a, v in lab[j:]])
-        del eps[i:], lab[j:]
-        lab.extend((first + u, a, first + v) for u, a, v in sub_lab)
-        exit_state = first + count
-        self.count = exit_state + 1
-        for f in finals:
-            eps.append((first + f, exit_state))
-        return first, first, exit_state
+    def _components(self, lo: int, parts: Sequence[Fragment]) -> tuple[
+            tuple[int, ...], list[list[tuple[int, int]]], list[bool]]:
+        """Take the parts' positions out, returning their start tuple and,
+        per component, its moves and whether it ends its part.
+
+        A component's moves pair each component its follow set's
+        positions have with the OR of those positions' classes.  Futures
+        are keyed on their follow sets, big ints, once per position; the
+        product keys on component ids only.
+        """
+        classes, follow = self.classes, self.follow
+        ends_at = {q for _, _, last, _ in parts for q in _bits(last)}
+        keys = [(follow[q], q in ends_at) for q in range(lo, len(classes))]
+        keys += [(first, n) for _, first, _, n in parts]
+        ids: dict[tuple[int, bool], int] = {}
+        comp = [ids.setdefault(key, len(ids)) for key in keys]
+        moves: list[list[tuple[int, int]]] = []
+        ends: list[bool] = []
+        for nxt, end in ids:
+            got: dict[int, int] = {}
+            for q in _bits(nxt):
+                d = comp[q - lo]
+                got[d] = got.get(d, 0) | classes[q]
+            moves.append(list(got.items()))
+            ends.append(end)
+        del classes[lo:], follow[lo:]
+        return tuple(comp[len(keys) - len(parts):]), moves, ends
 
 
-def _thompson(node: Node, alphabet: Alphabet) -> Nfa:
-    b = _Builder(alphabet)
-    # Unshared: every occurrence of a repeated subtree needs its own states.
-    _, start, accept = b.place(_fold(node, b.fragment, shared=False))
-    return Nfa(alphabet, b.count, start, [accept], b.eps, b.lab)
-
-
-def _closure_product(
-    size: int,
-    parts: Sequence[tuple[int, int]],
-    eps: Sequence[tuple[int, int]],
-    lab: Sequence[tuple[int, int, int]],
-) -> tuple[int, list[int], list[tuple[int, int, int]]]:
-    """Reachable synchronous product of the parts' kernel closures,
-    trimmed to the states that can reach acceptance.
-
-    The parts are disjoint fragments of one automaton of ``size``
-    states with these epsilon and labelled edges, each given as (start,
-    accepting state).  A part's components are the distinct kernel
-    closures of its start state and of its labelled-edge targets, all
-    taken in one pass (``_kernel_closures``); with no epsilon-edge a
-    state's closure is its own kernel bit.  Targets with equal closures
-    have the same future, so they are one component.  A product state
-    holds one component per part and starts at the start closures.  On
-    a symbol it steps to every tuple of the components of the targets
-    its components' kernel states reach on that symbol, so the product
-    has no epsilon-edge and at most the product over the parts of
-    (targets + 1) states.  It accepts when every component holds its
-    part's accepting state.  The result is (state count, accepting
-    states, labelled edges), with start state 0.
-    """
-    own = [0] * size
-    for _, accept in parts:
-        own[accept] = 1 << accept
-    for s, _, _ in lab:
-        own[s] = 1 << s
-    if eps:
-        eps_adj: list[list[int]] = [[] for _ in range(size)]
-        for s, t in eps:
-            eps_adj[s].append(t)
-        closures = _kernel_closures(eps_adj, own, {*(s for s, _ in parts), *(t for _, _, t in lab)})
-    else:
-        closures = own
-    # Per state, per symbol: the components of its targets.  An empty
-    # closure can neither read nor accept, so it is left out.  The parts'
-    # states are disjoint, so one table serves them all.
-    reach: dict[int, dict[int, set[int]]] = {}
-    for s, a, t in lab:
-        if closures[t]:
-            reach.setdefault(s, {}).setdefault(a, set()).add(closures[t])
-    # A component of one kernel state moves as that state does.
-    moves = {1 << s: got for s, got in reach.items()}
-
-    def moves_of(comp: int) -> dict[int, set[int]]:
-        """Per symbol, the components that a component steps to."""
-        got: dict[int, set[int]] = {}
-        for s in _bits(comp):
-            for a, cs in reach.get(s, {}).items():
-                got.setdefault(a, set()).update(cs)
-        moves[comp] = got
-        return got
-
-    start = [closures[s] for s, _ in parts]
-    finals = [1 << accept for _, accept in parts]
-    index = {tuple(start): 0}
-    order = list(index)
-    edges: list[tuple[int, int, int]] = []
-    accepting = []
-    for ui, u in enumerate(order):
-        steps = [moves[c] if c in moves else moves_of(c) for c in u]
-        if all(c & f for c, f in zip(u, finals)):
-            accepting.append(ui)
-        for a, cs in steps[0].items():
-            rows = [cs]
-            for other in steps[1:]:
-                cs = other.get(a)
-                if cs is None:
-                    break
-                rows.append(cs)
-            else:
-                for v in tuples(*rows):
-                    vi = index.get(v)
-                    if vi is None:
-                        vi = index[v] = len(order)
-                        order.append(v)
-                    edges.append((ui, a, vi))
-    # Keep the states that can reach acceptance, in their order: a state
-    # that cannot would put symbols that lead nowhere into read masks.
-    into: list[list[int]] = [[] for _ in order]
-    for s, _, t in edges:
-        into[t].append(s)
-    alive = set(accepting)
-    todo = list(alive)
-    while todo:
-        for s in into[todo.pop()]:
-            if s not in alive:
-                alive.add(s)
-                todo.append(s)
-    if 0 not in alive:
-        return 1, [], []
-    new = {s: i for i, s in enumerate(sorted(alive))}
-    # The source of an edge into a kept state is kept too.
-    return (len(new), [new[s] for s in accepting],
-            [(new[s], a, new[t]) for s, a, t in edges if t in new])
+def _flat(node: Node, alphabet: Alphabet) -> Nfa:
+    b = _Positions()
+    # Unshared: every occurrence of a repeated subtree needs its own positions.
+    _, first, last, nullable = b.place(_fold(node, b.fragment, shared=False))
+    for q in _bits(last):
+        b.follow[q] |= 1
+    return Nfa(alphabet, first | nullable, b.classes, b.follow)
 
 
 def compile_regex(r: Regex) -> Automaton:
@@ -765,17 +585,16 @@ def compile_regex(r: Regex) -> Automaton:
     An intersection at the root becomes a ``ProductAuto`` of its parts,
     each compiled flat; everything else, nested intersections included,
     compiles to one flat ``Nfa``, where each intersection becomes the
-    explicit reachable product of its parts' kernel closures.  That
-    product stays polynomial in the operand sizes: at most the product
-    over the parts of (labelled-edge targets + 1) states, plus one
-    exit.  A union of intersections is therefore flat; write it as an
-    intersection of unions, as ``squarify_col_expr`` does, to keep its
-    parts implicit.
+    reachable product of its parts' positions.  That product stays
+    polynomial in the operand sizes: at most one position per class and
+    tuple of the parts' components.  A union of intersections is
+    therefore flat; write it as an intersection of unions, as
+    ``squarify_col_expr`` does, to keep its parts implicit.
     """
     node, alphabet = r.node, r.alphabet
     if isinstance(node, Inter):
-        return ProductAuto(tuple(_thompson(p, alphabet) for p in node.parts))
-    return _thompson(node, alphabet)
+        return ProductAuto(tuple(_flat(p, alphabet) for p in node.parts))
+    return _flat(node, alphabet)
 
 
 # --- queries -------------------------------------------------------------------
@@ -806,12 +625,12 @@ def is_empty(r: Regex) -> bool:
 
     ``r`` compiles to one flat automaton, a root intersection included,
     so every intersection in it is the exact product of its parts'
-    kernel closures, trimmed to the states that can still accept; the
+    positions, trimmed to the positions that can still end it; the
     language is then empty iff the start set cannot reach acceptance.
     The price of that one bit is the whole trimmed product: the build
-    does not stop at the first accepting tuple.
+    does not stop at the first ending tuple.
     """
-    auto = _thompson(r.node, r.alphabet)
+    auto = _flat(r.node, r.alphabet)
     return not auto.feasible(auto.start_set(), None)
 
 

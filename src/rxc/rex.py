@@ -30,6 +30,8 @@ explicit stack, so each runs in time linear in the text.
 from __future__ import annotations
 
 import re
+from functools import reduce
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union as TUnion
 
 from .records import record
@@ -394,21 +396,38 @@ def _fold(root: Node, visit: Callable[[Node, Sequence[T]], T], shared: bool = Tr
 
 # --- structural predicates --------------------------------------------------
 
-def _nullable(node: Node, kids: Sequence[bool]) -> bool:
+def _singles(node: Node, kids: Sequence[tuple[bool, int]]) -> tuple[bool, int]:
+    """(nullable, mask of the symbols the node matches as a one-symbol
+    word): a concatenation reads its one symbol in a part whose
+    siblings are all nullable."""
     if isinstance(node, Lit):
-        return False
-    if isinstance(node, (Concat, Inter, Plus)):
-        return all(kids)
+        return False, 1 << node.sym.id
+    if isinstance(node, Eps):
+        return True, 0
+    if isinstance(node, (Star, Opt)):
+        return True, kids[0][1]
+    if isinstance(node, Plus):
+        return kids[0]
     if isinstance(node, Union):
-        return any(kids)
-    if isinstance(node, (Eps, Star, Opt)):
-        return True
+        return any(n for n, _ in kids), reduce(or_, (m for _, m in kids), 0)
+    if isinstance(node, Inter):
+        return all(n for n, _ in kids), reduce(and_, (m for _, m in kids), -1)
+    if isinstance(node, Concat):
+        solid = [m for n, m in kids if not n]
+        if not solid:
+            return True, reduce(or_, (m for _, m in kids), 0)
+        return False, solid[0] if len(solid) == 1 else 0
     raise TypeError(f"unknown node {node!r}")
+
+
+def single_symbols(r: Regex) -> int:
+    """Mask of the symbol ids that match ``r`` as one-symbol words."""
+    return _fold(r.node, _singles)[1]
 
 
 def is_positive(r: Regex) -> bool:
     """True iff the empty string does not match ``r``."""
-    return not _fold(r.node, _nullable)
+    return not _fold(r.node, _singles)[0]
 
 
 def used_symbols(r: Regex) -> set[Symbol]:

@@ -51,7 +51,7 @@ from typing import Iterator, Sequence
 from .grids import Grid
 from .puzzle import Puzzle
 from .records import record
-from .rex import Regex, inter, is_positive, lit, plus, regex_matches, union_
+from .rex import Regex, inter, is_positive, lit, plus, single_symbols, union_
 from .nfa import Automaton, ViableSymbols, compile_regex, is_empty, matches
 
 
@@ -289,15 +289,16 @@ def is_plural(row_expr: Regex, col_expr: Regex) -> bool:
     ``A1`` holds the symbols that match the column expression as a
     length-1 string (and symmetrically for n x 1), so each check is the
     emptiness of one intersection, decided on its flat product
-    (``nfa.is_empty``).  Length-1 membership is decided on the tree, and
-    a line that matches no single symbol needs no automaton at all, which
-    keeps this cheap even for very large expressions.
+    (``nfa.is_empty``).  Length-1 membership of every symbol at once is
+    one fold over the tree (``single_symbols``), and a line that matches
+    no single symbol needs no automaton at all, which keeps this cheap
+    even for very large expressions.
     """
     if not is_positive(row_expr) or not is_positive(col_expr):
         return False
     for line, other in ((row_expr, col_expr), (col_expr, row_expr)):
-        singles = [lit(line.alphabet, s.token) for s in line.alphabet
-                   if regex_matches(other, (s,))]
+        mask = single_symbols(other)
+        singles = [lit(line.alphabet, s.token) for s in line.alphabet if mask >> s.id & 1]
         if singles and not is_empty(inter([line, plus(union_(singles))])):
             return False
     return True

@@ -167,6 +167,29 @@ def test_merge_and_binarize_verbs(tmp_path, capsys):
     assert bp.alphabet.tokens == ("0", "1")
 
 
+def test_merge_keeps_a_square_size(tmp_path, capsys):
+    # (x1 or x2) reduces to a p x p puzzle; merged, its (E,E) grids are
+    # (p + 1) x (p + 1), two per satisfying assignment (framed as is and
+    # transposed), so count needs no -m or -n.
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(dump_dimacs(formula(2, (1, 2))))
+    rpath, epath = tmp_path / "r.rxc", tmp_path / "e.rxc"
+    assert run(["sat", "reduce", str(cnf), "--out", str(rpath)]) == 0
+    assert run(["merge", str(rpath), "--out", str(epath)]) == 0
+    p = read_puzzle(str(rpath)).fixed_rows
+    merged = read_puzzle(str(epath))
+    assert (merged.fixed_rows, merged.fixed_cols) == (p + 1, p + 1)
+    capsys.readouterr()
+    assert run(["count", str(epath)]) == 0
+    assert capsys.readouterr().out == "6\n"
+    # A non-square size fixes neither side of the merged file.
+    rect = tmp_path / "rect.rxc"
+    rect.write_text("alphabet = 0 1\nrows = 2\ncols = 3\nR* = 0(0|1)*\nC* = 1(0|1)*\n")
+    assert run(["merge", str(rect), "--out", str(epath)]) == 0
+    merged = read_puzzle(str(epath))
+    assert (merged.fixed_rows, merged.fixed_cols) == (None, None)
+
+
 def test_encode_decode_grid_verbs(tmp_path):
     gpath = tmp_path / "g.grid"
     gpath.write_text("1 1\n1\n")

@@ -40,11 +40,23 @@ def test_matches_examples():
 
 
 def test_nfa_rejects_out_of_range_start():
-    with pytest.raises(ValueError):
-        Nfa(AB, 2, 2, [1], [], [(0, 0, 1)])
-    for accepting in ([5], [-1]):
-        with pytest.raises(ValueError, match="accepting state"):
-            Nfa(AB, 2, 0, accepting, [(0, 1)], [(1, 0, 0)])
+    # One position, entered on 0, that ends the word: the language 0.
+    auto = Nfa(AB, 0b10, [0, 0b01], [0, 0b01])
+    assert enumerate_language(auto, 3) == ["0"]
+    for start, classes, follow, what in [
+        (0b100, [0, 0b01], [0, 0b01], "start set"),
+        (-1, [0, 0b01], [0, 0b01], "start set"),
+        (0b10, [0, 0b100], [0, 0b01], "class"),
+        (0b10, [0, -1], [0, 0b01], "class"),
+        (0b10, [0, 0b01], [0, 0b100], "follow set"),
+        (0b10, [0, 0b01], [0, -2], "follow set"),
+        (0b10, [0b01, 0b01], [0, 0b01], "bit 0"),
+        (0b10, [0, 0b01], [0b01, 0b01], "bit 0"),
+        (0b10, [0, 0b01], [0], "follow sets for"),
+        (0, [], [], "bit 0"),
+    ]:
+        with pytest.raises(ValueError, match=what):
+            Nfa(AB, start, classes, follow)
 
 
 def test_compile_union_small():
@@ -82,32 +94,30 @@ def test_step_examples():
 
 
 def test_pass_through_states_leave_the_sets():
-    # (0|1)* is one state looping on both symbols, so its three sets are
-    # equal with no pass-through state to leave out.
+    # (0|1)* is one position looping on both symbols, so its three sets
+    # are equal.
     auto = compile_regex(parse("(0|1)*", AB))
     s0 = auto.start_set()
     assert auto.step(s0, 0) == s0 == auto.step(s0, 1)
-    # (01|1)* keeps the star's and the union's own states, which neither
-    # read nor accept.  The epsilon-closures before and after a step
-    # differ in them; without them the three sets are equal.
+    # (01|1)* after 1 or 01 can enter the first positions of 01 and of 1
+    # again, and accepts, as at the start: the three sets are equal.
     auto = compile_regex(parse("(01|1)*", AB))
-    kernel = {s for s, _, _ in auto.labeled_edges} | auto.accepting
-    assert len(kernel) < auto.state_count
     s0 = auto.start_set()
     assert auto.step(s0, 1) == s0 == auto.step(auto.step(s0, 0), 1)
 
 
 def test_star_of_a_class_is_one_state():
-    # The union of n marker literals is one class: its star is one state
-    # with a self-loop per symbol, with no epsilon-edge and no state per
-    # literal.
+    # The union of n marker literals is one class: its star is one
+    # position entered on any of the n symbols, followed by itself and
+    # able to end, with no position per literal.  Bit 0 makes the second
+    # state.
     markers = marker_alphabet(demo_machine()).alphabet
     assert len(markers) == 36
     for n in (1, 2, 28, 36):
         r = star(union_([lit(markers, t) for t in markers.tokens[:n]]))
         auto = compile_regex(r)
-        assert (auto.state_count, len(auto.labeled_edges), len(auto.epsilon_edges)) == (1, n, 0)
-        assert auto.start == 0 and auto.accepting == {0}
+        assert (auto.state_count, auto.classes, auto.follow) == (2, (0, (1 << n) - 1), (0, 0b11))
+        assert auto.start == 0b11 and not auto.epsilon_edges
         assert enumerate_language(auto, 1) == ["", *markers.tokens[:n]]
 
 
@@ -120,20 +130,20 @@ def test_literal_word_is_a_chain():
         assert enumerate_language(auto, length) == [text]
 
 
-@pytest.mark.parametrize("text, states, eps", [
-    ("(0|1)+", 2, 1),      # the class, and an epsilon-edge back
-    ("(0|1)?", 2, 1),      # the class, and an epsilon-edge across
-    ("(01)*", 2, 0),       # one loop through its entry, also its exit
-    ("(0(1|0)1)*", 3, 0),
-    ("01|10|1", 4, 0),     # each run chained between the union's two states
-    ("(01|1)*", 5, 4),
-    ("1(01)*0+", 5, 2),
-    ("((01)*|1+)?", 8, 8),
+@pytest.mark.parametrize("text, positions", [
+    ("(0|1)+", 1),      # the class, followed by itself
+    ("(0|1)?", 1),
+    ("(01)*", 2),       # the 1 is followed by the 0 and can end
+    ("(0(1|0)1)*", 3),
+    ("01|10|1", 5),     # one position per literal of each run, the lone 1 one class
+    ("(01|1)*", 3),
+    ("1(01)*0+", 4),
+    ("((01)*|1+)?", 3),
 ])
-def test_closures_of_classes_and_runs(text, states, eps):
+def test_closures_of_classes_and_runs(text, positions):
     r = parse(text, AB)
     auto = compile_regex(r)
-    assert (auto.state_count, len(auto.epsilon_edges)) == (states, eps)
+    assert auto.state_count == positions + 1 and not auto.epsilon_edges
     for n in range(7):
         for w in all_words(AB, n):
             assert matches(auto, w) == regex_matches(r, w), w
@@ -169,13 +179,16 @@ def test_nested_intersection_of_many_closures_stays_small():
 
 
 def test_sets_hold_only_reading_or_accepting_states():
+    # A set holds bit 0, its accept bit, and positions that some symbol
+    # enters; a nested product keeps no position with an empty class.
     rng = random.Random(11)
     for k in range(200):
         alphabet = (AB, ABC)[k % 2]
         auto = flat_automaton(random_regex(rng, alphabet, depth=4))
-        kernel = 0
-        for s in {s for s, _, _ in auto.labeled_edges} | auto.accepting:
-            kernel |= 1 << s
+        kernel = 1
+        for q, cls in enumerate(auto.classes):
+            if cls:
+                kernel |= 1 << q
         seen = {auto.start_set()}
         todo = list(seen)
         while todo:

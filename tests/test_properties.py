@@ -3,13 +3,13 @@ against ``regex_matches``, on random trees, on trees heavy in symbol
 classes and on intersections of epsilon-heavy operands nested under a
 closure or a concatenation, the printer against the parser, and the cell
 search against the brute-force oracle on puzzles with a separate random
-expression for every row and column; the read masks of the automata
-against their steps; the closures the ``Nfa`` constructor takes
-against a naive search; and the viable-symbol tables against direct
-steps."""
+expression for every row and column; the one-symbol words of a tree
+against ``regex_matches``; the read masks of the automata
+against their steps; the steps, read masks and feasibility of random
+``Nfa`` position tables against a naive stepper; and the viable-symbol
+tables against direct steps."""
 
 import random
-from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +33,7 @@ from rxc.rex import (
     format_regex,
     parse,
     regex_matches,
+    single_symbols,
     union_,
     word,
 )
@@ -244,9 +245,13 @@ def test_unreadable_symbols_step_to_dead_sets(case):
             readable = auto.readable(states)
             assert all(auto.is_dead(auto.step(states, a)) for a in syms if not readable >> a & 1)
             if isinstance(auto, Nfa):
-                # Exact on a flat automaton: the symbols its states have an
-                # edge on, and without intersections none of them is dead.
-                assert readable == sum({1 << a for s, a, _ in auto.labeled_edges if states >> s & 1})
+                # Exact on a flat automaton: the symbols that enter its
+                # positions, and without intersections none of them is dead.
+                classes = 0
+                for q, cls in enumerate(auto.classes):
+                    if states >> q & 1:
+                        classes |= cls
+                assert readable == classes
                 if intersection_free:
                     assert not any(auto.is_dead(auto.step(states, a)) for a in syms if readable >> a & 1)
     # An explicit product keeps only states that can accept, so no symbol
@@ -257,6 +262,16 @@ def test_unreadable_symbols_step_to_dead_sets(case):
             for states in _sets_within(flat, 4):
                 readable = flat.readable(states)
                 assert not any(flat.is_dead(flat.step(states, a)) for a in syms if readable >> a & 1)
+
+
+@SETTINGS
+@given(regexes())
+def test_single_symbols_agree_with_reference(case):
+    # The one-fold guard of is_plural: the symbols a tree matches as a
+    # one-symbol word, nullable parts of a concatenation included.
+    r, _ = case
+    mask = single_symbols(r)
+    assert [mask >> s.id & 1 == 1 for s in r.alphabet] == [regex_matches(r, (s,)) for s in r.alphabet]
 
 
 @SETTINGS
@@ -284,85 +299,71 @@ def test_viable_masks_agree_with_direct_steps(case):
 
 
 @st.composite
-def epsilon_graphs(draw):
-    """Random ``Nfa`` constructor arguments.  Next to random edges, the
-    epsilon-graph gets a cycle through the start state, a chain of
-    cycles each linked to the next (several components, one reaching
-    the other), self-loops, repeated edges, and a few extra states that
-    only reach into the rest, so the start cannot reach them."""
+def position_tables(draw):
+    """Random ``Nfa`` constructor arguments: up to 10 positions, each with
+    any class, the empty one included, and any follow set over the
+    positions and bit 0, self-loops included."""
     alphabet = draw(st.sampled_from([AB, ABC]))
-    n = draw(st.integers(1, 10))
-    hidden = draw(st.integers(0, 3))
-    state = st.integers(0, n - 1)
-    start = draw(state)
-    eps = draw(st.lists(st.tuples(state, state), max_size=2 * n))
-    ring = [start] + draw(st.lists(state, max_size=3))
-    eps += zip(ring, ring[1:] + ring[:1])
-    cycles = draw(st.lists(st.lists(state, min_size=1, max_size=3), max_size=3))
-    for cycle, after in zip(cycles, cycles[1:] + [None]):
-        eps += zip(cycle, cycle[1:] + cycle[:1])
-        if after is not None:
-            eps.append((cycle[-1], after[0]))
-    eps += [(s, s) for s in draw(st.lists(state, max_size=2))]
-    if eps:
-        eps += draw(st.lists(st.sampled_from(eps), max_size=3))
-    lab = draw(st.lists(st.tuples(state, st.integers(0, len(alphabet) - 1), state),
-                        max_size=2 * n))
-    if hidden:
-        extra = st.integers(n, n + hidden - 1)
-        anywhere = st.integers(0, n + hidden - 1)
-        eps += draw(st.lists(st.tuples(extra, anywhere), max_size=2 * hidden))
-        lab += draw(st.lists(st.tuples(extra, st.integers(0, len(alphabet) - 1), anywhere),
-                             max_size=2 * hidden))
-    accepting = draw(st.lists(st.integers(0, n + hidden - 1), max_size=3))
-    return alphabet, n + hidden, start, accepting, eps, lab
+    n = draw(st.integers(1, 11))
+    mask = st.integers(0, (1 << n) - 1)
+    classes = [0] + draw(st.lists(st.integers(0, (1 << len(alphabet)) - 1),
+                                  min_size=n - 1, max_size=n - 1))
+    follow = [0] + draw(st.lists(mask, min_size=n - 1, max_size=n - 1))
+    return alphabet, draw(mask), classes, follow
 
 
 @SETTINGS
-@given(epsilon_graphs())
-def test_nfa_closures_agree_with_a_naive_search(case):
-    alphabet, n, start, accepting, eps, lab = case
-    auto = Nfa(alphabet, n, start, accepting, eps, lab)
-    kernel = set(accepting) | {s for s, _, _ in lab}
-    closure = []
-    for s in range(n):
-        seen, queue = {s}, deque([s])
-        while queue:
-            u = queue.popleft()
-            for x, y in eps:
-                if x == u and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        closure.append(sum(1 << u for u in seen & kernel))
+@given(position_tables())
+def test_nfa_steps_agree_with_a_naive_stepper(case):
+    alphabet, start, classes, follow = case
+    auto = Nfa(alphabet, start, classes, follow)
+    n = len(classes)
+    syms = range(len(alphabet))
 
     def step(states, a):
         out = 0
-        for s, b, t in lab:
-            if b == a and states >> s & 1:
-                out |= closure[t]
+        for q in range(n):
+            if states >> q & 1 and classes[q] >> a & 1:
+                out |= follow[q]
         return out
 
     def can_accept(states, k):
         layer = {states}
         for _ in range(k):
-            layer = {step(x, a) for x in layer for a in range(len(alphabet))}
-        return any(x >> s & 1 for x in layer for s in accepting)
+            layer = {step(x, a) for x in layer for a in syms}
+        return any(x & 1 for x in layer)
 
-    assert auto.start_set() == closure[start]
-    # Every set the start reaches, and every single kernel state, which
-    # covers the edges out of the states the start cannot reach.
-    sets = {auto.start_set()} | {1 << s for s in kernel}
+    # Every set the start reaches, and every single position, which
+    # covers the positions the start cannot reach.
+    sets = {auto.start_set()} | {1 << q for q in range(n)}
     todo = list(sets)
+    into: dict[int, set[int]] = {}
     while todo:
         states = todo.pop()
         assert [auto.feasible(states, k) for k in range(3)] == [
             can_accept(states, k) for k in range(3)]
-        for a in range(len(alphabet)):
+        readable = 0
+        for q in range(n):
+            if states >> q & 1:
+                readable |= classes[q]
+        assert auto.readable(states) == readable
+        for a in syms:
             nxt = auto.step(states, a)
             assert nxt == step(states, a)
+            into.setdefault(nxt, set()).add(states)
             if nxt not in sets:
                 sets.add(nxt)
                 todo.append(nxt)
+    # With no bound on the word, a set can accept iff it reaches, on the
+    # graph of sets just walked, a set that accepts.
+    ever = {x for x in sets if x & 1}
+    todo = list(ever)
+    while todo:
+        for x in into.get(todo.pop(), ()):
+            if x not in ever:
+                ever.add(x)
+                todo.append(x)
+    assert {x for x in sets if auto.feasible(x, None)} == ever
 
 
 @st.composite

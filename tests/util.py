@@ -54,9 +54,9 @@ def random_regex(rng: random.Random, alphabet: Alphabet, depth: int,
 def deep_api_tree(levels: int) -> Regex:
     """A tree ``levels`` levels deep, built through the API by wrapping
     ``0`` in ``opt(r)``, ``concat([1, r])`` and ``union_([r, 0])`` in
-    turn.  The epsilon-closure of each literal's exit climbs the exits of
-    every level above it, so closures taken one walk per labelled-edge
-    target cost time quadratic in the depth."""
+    turn.  In an epsilon-NFA the closure of each literal's exit climbs
+    the exits of every level above it, so a construction that walks it
+    once per literal costs time quadratic in the depth."""
     zero, one = lit(AB, "0"), lit(AB, "1")
     r = zero
     for level in range(levels - 1):
@@ -67,7 +67,8 @@ def deep_api_tree(levels: int) -> Regex:
 
 def flat_automaton(r: Regex) -> Nfa:
     """``r`` compiled to one flat automaton: followed by epsilon, no
-    intersection sits at the root, so each becomes an explicit product."""
+    intersection sits at the root, so each becomes a product of its
+    parts' positions."""
     auto = compile_regex(concat([r, epsilon(r.alphabet)]))
     if not isinstance(auto, Nfa):
         raise TypeError(f"expected a flat automaton, got {type(auto).__name__}")
