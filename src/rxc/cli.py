@@ -39,7 +39,7 @@ from .solver import (
     solve,
     verify,
 )
-from .turing import build_tableau, read_machine, simulate, validate_assumptions
+from .turing import AssumptionError, build_tableau, read_machine, simulate, validate_assumptions
 
 
 class UsageError(ValueError):
@@ -47,7 +47,7 @@ class UsageError(ValueError):
 
 
 def _uniform_exprs(puzzle: Puzzle) -> tuple[Regex, Regex]:
-    if not isinstance(puzzle.rows, Regex) or not isinstance(puzzle.cols, Regex):
+    if not puzzle.uniform:
         raise UsageError("this command needs a puzzle with uniform R* and C* expressions")
     return puzzle.rows, puzzle.cols
 
@@ -186,7 +186,13 @@ def _cmd_tm_tableau(args) -> int:
 
 
 def _cmd_tm_reduce(args) -> int:
+    # A broken convention would make a puzzle with no grid, a wrong "no";
+    # "unknown" passes, so machines that do not halt still reduce.
     machine = read_machine(args.machine)
+    report = validate_assumptions(machine, args.w, args.max_steps)
+    for idx, (status, note) in enumerate(zip(report.statuses, report.notes), start=1):
+        if status == "fail":
+            raise AssumptionError(f"run convention {idx} fails: {note}")
     markers = marker_alphabet(machine)
     row = row_expression(machine, args.w, markers)
     col = column_expression(machine, markers)

@@ -1,24 +1,15 @@
 """Small hand-built machines used by the demos and the test suite.
 
 All of them satisfy the run conventions listed in :mod:`rxc.turing`
-(checked by tests).  Transition tables are totalised with harmless
-self-loops so that every (state, symbol) pair is defined; the filler
-transitions are unreachable from the standard initial configuration.
+(checked by tests).  Transition tables are totalised by
+:func:`rxc.turing.total_machine` with self-loops so that every (state,
+symbol) pair is defined; the filler transitions are unreachable from
+the standard initial configuration.
 """
 
 from __future__ import annotations
 
-from .turing import TuringMachine
-
-
-def _total(states, tape, blank, start, halt, rules):
-    complete = dict(rules)
-    for q in states:
-        if q == halt:
-            continue
-        for a in tape:
-            complete.setdefault((q, a), (q, a, "R"))
-    return TuringMachine(tuple(states), tuple(tape), blank, start, halt, complete)
+from .turing import TuringMachine, total_machine
 
 
 def demo_machine() -> TuringMachine:
@@ -26,7 +17,7 @@ def demo_machine() -> TuringMachine:
 
     On input "a": halts after 5 steps, visiting cells -1..2.
     """
-    return _total(
+    return total_machine(
         ["q0", "q1", "q2", "q3", "q4", "qh"],
         ["B", "a", "#"],
         "B", "q0", "qh",
@@ -42,7 +33,7 @@ def demo_machine() -> TuringMachine:
 
 def overwriting_machine() -> TuringMachine:
     """Rewrites every input symbol to 'b', then halts on the way back."""
-    return _total(
+    return total_machine(
         ["q0", "q1", "q2", "q3", "q4", "qh"],
         ["B", "a", "b"],
         "B", "q0", "qh",
@@ -61,7 +52,7 @@ def overwriting_machine() -> TuringMachine:
 def zigzag_machine() -> TuringMachine:
     """Walks to the blank right of the input, returns to the left end,
     then steps right once more and halts.  Exercises left-moving rules."""
-    return _total(
+    return total_machine(
         ["q0", "q1", "q2", "q3", "q4", "q5", "qh"],
         ["B", "a"],
         "B", "q0", "qh",
@@ -83,7 +74,7 @@ def bouncing_machine() -> TuringMachine:
     input cell and the blank to its right, forever.  The head never moves
     left of the cell reached after the first step and the start state is
     never re-entered, so the run conventions hold on every input."""
-    return _total(
+    return total_machine(
         ["q0", "q1", "q2", "q3", "q4", "q5", "qh"],
         ["B", "a"],
         "B", "q0", "qh",

@@ -5,7 +5,10 @@ Three disjoint marker classes over a machine's tape symbols and states:
 * ``[a]``     an unscanned cell holding symbol a,
 * ``[a,q]``   the scanned cell, with the current state q,
 * ``<a|q>``   a cell scanned in the *next* step, carrying that step's
-              state q (never the start state).
+              state q (never the start state: run convention 3).
+
+Each token is written once, in ``marker_alphabet``; each lookup is then
+one dict access, as the tableau builders call them once per cell.
 """
 
 from __future__ import annotations
@@ -47,28 +50,15 @@ def marker_alphabet(machine: TuringMachine) -> MarkerAlphabet:
     Order: all ``[a]``, then all ``[a,q]`` (symbol-major), then all
     ``<a|q>`` for q other than the start state.
     """
-    tokens: list[str] = []
-    unscanned: dict[str, int] = {}
-    scanned: dict[tuple[str, str], int] = {}
-    transmission: dict[tuple[str, str], int] = {}
-    for a in machine.tape_symbols:
-        unscanned[a] = len(tokens)
-        tokens.append(f"[{a}]")
-    for a in machine.tape_symbols:
-        for q in machine.states:
-            scanned[(a, q)] = len(tokens)
-            tokens.append(f"[{a},{q}]")
-    for a in machine.tape_symbols:
-        for q in machine.states:
-            if q == machine.start:
-                continue
-            transmission[(a, q)] = len(tokens)
-            tokens.append(f"<{a}|{q}>")
-    alphabet = Alphabet(tokens)
-    return MarkerAlphabet(
-        machine,
-        alphabet,
-        {a: alphabet.symbols[i] for a, i in unscanned.items()},
-        {aq: alphabet.symbols[i] for aq, i in scanned.items()},
-        {aq: alphabet.symbols[i] for aq, i in transmission.items()},
+    tape, states = machine.tape_symbols, machine.states
+    unscanned, scanned, transmission = {}, {}, {}
+    scheme = (
+        [(unscanned, a, f"[{a}]") for a in tape]
+        + [(scanned, (a, q), f"[{a},{q}]") for a in tape for q in states]
+        + [(transmission, (a, q), f"<{a}|{q}>")
+           for a in tape for q in states if q != machine.start]
     )
+    alphabet = Alphabet([token for _, _, token in scheme])
+    for (lookup, key, _), symbol in zip(scheme, alphabet.symbols):
+        lookup[key] = symbol
+    return MarkerAlphabet(machine, alphabet, unscanned, scanned, transmission)

@@ -1,6 +1,7 @@
 """Constructive reductions between machines, formulas, graphs and grids."""
 
 from ..markers import MarkerAlphabet, marker_alphabet
+from ..turing import AssumptionError
 from .binary import (
     BINARY,
     BinaryCode,
@@ -34,7 +35,6 @@ from .satpipe import (
     sat_reduce,
 )
 from .tableau import (
-    AssumptionError,
     column_expression,
     initial_row_expr,
     pad_right_with_blanks,

@@ -8,11 +8,14 @@ depends only on the formula shape, never on the assignment; the exact
 clock is verified empirically over all assignments before any artifact
 is returned.
 
-The marker-level puzzle pairs the run-tableau row expression (with the
-initial row extended by the assignment block and an exact blank tail)
-with the blank-column-tolerant column expression; its solutions are
-exactly one padded tableau per satisfying assignment.  The binary-level
-pair applies the letter-square encoding on top.
+The marker-level puzzle pairs the run-tableau row expression (the
+initial cells of :func:`rxc.reductions.tableau.initial_cells` extended
+by a blank, the assignment block and an exact blank tail) with the
+blank-column-tolerant column expression; its solutions are exactly one
+padded tableau per satisfying assignment.  That holds only for runs
+that keep the run conventions, so ``sat_reduce`` checks them with the
+checker of :mod:`rxc.turing` and adds only its SAT-specific checks.
+The binary-level pair applies the letter-square encoding on top.
 """
 
 from __future__ import annotations
@@ -24,13 +27,13 @@ from ..markers import MarkerAlphabet, marker_alphabet
 from ..oracle import CnfFormula
 from ..records import record
 from ..rex import Regex, concat, union_
-from ..turing import RunTrace, TuringMachine, simulate
+from ..turing import RunTrace, TuringMachine, run_violation, simulate, total_machine
 from .binary import binarize_expr
 from .merge import merge_rc
 from .tableau import (
-    _initial_state,
     _sym,
     column_expression,
+    initial_cells,
     pad_right_with_blanks,
     squarify_col_expr,
     transition_row_body,
@@ -134,12 +137,7 @@ def sat_evaluator(formula: CnfFormula) -> tuple[TuringMachine, str, int]:
     for c in tape:
         rules[("la", c)] = ("lb", c, "R")
         rules[("lb", c)] = ("la", c, "L")
-    for q in states:
-        if q == "qh":
-            continue
-        for c in tape:
-            rules.setdefault((q, c), (q, c, "R"))
-    machine = TuringMachine(tuple(states), tape, blank, "q0", "qh", rules)
+    machine = total_machine(states, tape, blank, "q0", "qh", rules)
     return machine, w, evaluator_clock(formula)
 
 
@@ -166,12 +164,9 @@ class SatReductionArtifacts:
         return binarize_expr(self.ell, self.col_expr_square)
 
 
-def _assignment_tape(w: str, blank: str, assignment) -> list[str]:
-    return list(w) + [blank] + [str(b) for b in assignment]
-
-
 def _run(machine: TuringMachine, w: str, assignment, budget: int) -> RunTrace:
-    return simulate(machine, _assignment_tape(w, machine.blank, assignment), budget)
+    """The run on the tape ``w B a`` for an assignment a."""
+    return simulate(machine, list(w) + [machine.blank] + [str(b) for b in assignment], budget)
 
 
 def sat_reduce(
@@ -183,10 +178,12 @@ def sat_reduce(
     """Assemble and empirically validate the whole reduction.
 
     Any evaluator may be supplied; omitted pieces come from
-    :func:`sat_evaluator`.  Validation simulates every assignment and
-    demands: halting exactly on satisfying assignments, an identical
-    step count p-1 on all of them, the head confined to the cells the
-    initial row lays out, and the whole of ``w B a`` scanned.
+    :func:`sat_evaluator`.  The evaluator must keep run conventions 2
+    and 3, checked by ``turing.initial_state`` and
+    ``turing.run_violation``.  Validation simulates every assignment and
+    also demands: halting exactly on satisfying assignments, an
+    identical step count p-1 on all of them, the head never right of
+    cell p-2, and the whole of ``w B a`` scanned.
     """
     if machine is None:
         machine, default_w, default_p = sat_evaluator(formula)
@@ -203,6 +200,8 @@ def sat_reduce(
     if p - n - k - 3 < 0:
         raise EvaluatorError(f"clock {p} leaves no room for the blank tail")
 
+    markers = marker_alphabet(machine)
+    head = initial_cells(machine, input_string, markers)  # run convention 2
     budget = _EVAL_BUDGET_FACTOR * p
     halting: list[tuple[int, ...]] = []
     for bits in _all_assignments(k):
@@ -213,27 +212,23 @@ def sat_reduce(
         if not expected and trace.halted:
             raise EvaluatorError(f"evaluator halts on unsatisfying {bits}")
         if trace.halted:
+            violation = run_violation(trace)  # run convention 3
+            if violation:
+                raise EvaluatorError(f"evaluator {violation} on {bits}")
             if trace.steps != p - 1:
                 raise EvaluatorError(
                     f"evaluator takes {trace.steps} steps on {bits}, clock says {p - 1}"
                 )
             heads = {cfg.head for cfg in trace.configs}
-            if min(heads) < -1 or max(heads) > p - 2:
-                raise EvaluatorError(f"head leaves the cell range [-1, {p - 2}] on {bits}")
+            if max(heads) > p - 2:
+                raise EvaluatorError(f"head moves right of cell {p - 2} on {bits}")
             if not set(range(1, n + k + 2)) <= heads:
                 raise EvaluatorError(f"evaluator does not scan all of its tape input on {bits}")
             halting.append(bits)
 
-    markers = marker_alphabet(machine)
-    blank = machine.blank
-    blank_cell = _sym(markers, markers.unscanned(blank))
-    head = [
-        _sym(markers, markers.transmission(blank, _initial_state(machine))),
-        _sym(markers, markers.scanned(blank, machine.start)),
-    ]
-    head.extend(_sym(markers, markers.unscanned(c)) for c in input_string)
-    head.append(blank_cell)
+    blank_cell = _sym(markers, markers.unscanned(machine.blank))
     bit_cell = union_([_sym(markers, markers.unscanned(b)) for b in "01"])
+    head.append(blank_cell)
     head.extend([bit_cell] * k)
     head.extend([blank_cell] * (p - n - k - 3))
     initial_row = concat(head)

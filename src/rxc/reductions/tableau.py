@@ -6,6 +6,11 @@ intersection of a "static" and a "write" part) forces each tape cell's
 history to be consistent with the machine.  A grid satisfies both iff
 it is the tableau of the halting run, so the solution is unique when
 the machine halts and absent when it does not.
+
+This holds for runs that keep the run conventions of :mod:`rxc.turing`:
+q1 comes from ``initial_state``, which refuses a machine breaking
+convention 2.  ``initial_cells`` builds the first row's fixed cells for
+both this reduction and the SAT one.
 """
 
 from __future__ import annotations
@@ -13,24 +18,7 @@ from __future__ import annotations
 from ..grids import Grid
 from ..markers import MarkerAlphabet, marker_alphabet
 from ..rex import Inter, Regex, concat, inter, lit, opt, plus, star, union_
-from ..turing import LEFT, MachineError, TuringMachine
-
-
-class AssumptionError(MachineError):
-    pass
-
-
-def _initial_state(machine: TuringMachine) -> str:
-    rule = machine.rules.get((machine.start, machine.blank))
-    if rule is None:
-        raise AssumptionError("no transition for (start, blank)")
-    q1, write, direction = rule
-    if write != machine.blank or direction != LEFT or q1 == machine.start:
-        raise AssumptionError(
-            "the initial transition must rewrite the blank and move left "
-            "into a state other than the start state"
-        )
-    return q1
+from ..turing import LEFT, MachineError, TuringMachine, initial_state
 
 
 def _sym(markers: MarkerAlphabet, symbol) -> Regex:
@@ -57,9 +45,8 @@ def transition_row_body(machine: TuringMachine, markers: MarkerAlphabet | None =
         for a in machine.tape_symbols:
             r, _, d = machine.rules[(q, a)]
             if r == machine.start:
-                # no transmission marker carries the start state; such a
-                # transition can never appear in a run that obeys the
-                # conventions, so no row may mention it
+                # no transmission marker carries the start state (run
+                # convention 3), so no row may mention such a rule
                 continue
             group = by_target_left if d == LEFT else by_target_right
             group.setdefault(r, []).append((a, q))
@@ -81,23 +68,30 @@ def transition_row_body(machine: TuringMachine, markers: MarkerAlphabet | None =
     return concat([star(unscanned), union_(alternatives), star(unscanned)])
 
 
-def initial_row_expr(machine: TuringMachine, input_string, markers: MarkerAlphabet | None = None) -> Regex:
-    """The first-row expression: transmission into q1, the scanned start
-    cell, the input symbols, then one or more blanks."""
-    if markers is None:
-        markers = marker_alphabet(machine)
-    q1 = _initial_state(machine)
+def initial_cells(machine: TuringMachine, input_string,
+                  markers: MarkerAlphabet) -> list[Regex]:
+    """The first row's cells from the transmission into q1 through the
+    last input cell: ``<B|q1>`` ``[B,start]`` then ``[a]`` per input
+    symbol.  Raises :class:`AssumptionError` if the machine breaks run
+    convention 2."""
     blank = machine.blank
-    parts = [
-        _sym(markers, markers.transmission(blank, q1)),
+    cells = [
+        _sym(markers, markers.transmission(blank, initial_state(machine))),
         _sym(markers, markers.scanned(blank, machine.start)),
     ]
     for sym in input_string:
         if sym == blank:
             raise MachineError("input string may not contain the blank symbol")
-        parts.append(_sym(markers, markers.unscanned(sym)))
-    parts.append(plus(_sym(markers, markers.unscanned(blank))))
-    return concat(parts)
+        cells.append(_sym(markers, markers.unscanned(sym)))
+    return cells
+
+
+def initial_row_expr(machine: TuringMachine, input_string, markers: MarkerAlphabet | None = None) -> Regex:
+    """The first-row expression: the initial cells, then one or more blanks."""
+    if markers is None:
+        markers = marker_alphabet(machine)
+    blanks = plus(_sym(markers, markers.unscanned(machine.blank)))
+    return concat(initial_cells(machine, input_string, markers) + [blanks])
 
 
 def row_expression(machine: TuringMachine, input_string,
@@ -117,7 +111,7 @@ def column_expression(machine: TuringMachine,
     part.  Depends on the machine only, not on the input string."""
     if markers is None:
         markers = marker_alphabet(machine)
-    q1 = _initial_state(machine)
+    q1 = initial_state(machine)
     blank = machine.blank
     tape = machine.tape_symbols
 

@@ -15,9 +15,11 @@ Four run conventions matter for the grid constructions built on top:
    of the cell reached after the first step;
 4. the blank cell just right of the input is scanned at some point.
 
-``validate_assumptions`` reports on each of these; 3 and 4 are only
-semidecidable, so past the step budget they are reported as unknown
-rather than guessed.
+The simulator enforces 1, ``initial_state`` checks 2 and
+``run_violation`` checks 3; ``validate_assumptions``, ``build_tableau``,
+the tableau expressions and ``sat_reduce`` all go through these two.
+3 and 4 are only semidecidable, so past the step budget the report
+calls them unknown rather than guessing.
 
 Any machine can be adapted by hand to meet the conventions without
 changing what it halts on.  The standard recipe: add fresh states q0'
@@ -54,6 +56,10 @@ RIGHT = "R"
 
 class MachineError(ValueError):
     pass
+
+
+class AssumptionError(MachineError):
+    """A machine or run breaks a run convention."""
 
 
 @record
@@ -95,6 +101,15 @@ class TuringMachine:
     @property
     def nonhalting_states(self) -> tuple[str, ...]:
         return tuple(q for q in self.states if q != self.halt)
+
+
+def total_machine(states, tape_symbols, blank: str, start: str, halt: str,
+                  rules: Mapping[tuple[str, str], tuple[str, str, str]]) -> TuringMachine:
+    """The machine whose missing non-halting rules are self-loops that
+    keep the symbol and move right."""
+    complete = {(q, a): (q, a, RIGHT) for q in states if q != halt for a in tape_symbols}
+    complete.update(rules)
+    return TuringMachine(tuple(states), tuple(tape_symbols), blank, start, halt, complete)
 
 
 @record
@@ -163,6 +178,31 @@ def simulate(machine: TuringMachine, initial_tape: Sequence[str] | str,
     return RunTrace(machine, configs, lo, halted)
 
 
+def initial_state(machine: TuringMachine) -> str:
+    """Convention 2: the state q1 of the first transition
+    (start, blank) -> (q1, blank, L), q1 other than the start state."""
+    q1, write, direction = machine.rules[(machine.start, machine.blank)]
+    if write != machine.blank or direction != LEFT or q1 == machine.start:
+        raise AssumptionError(f"initial transition is ({q1},{write},{direction})")
+    return q1
+
+
+def run_violation(trace: RunTrace) -> str | None:
+    """Convention 3 along a trace: the first return to the start state or
+    move left of the floor, the cell reached after the first step, as a
+    note; None if there is neither."""
+    configs = trace.configs
+    if len(configs) < 2:
+        return None
+    floor = configs[1].head
+    for t, cfg in enumerate(configs):
+        if t and cfg.state == trace.machine.start:
+            return f"re-enters the start state at step {t}"
+        if cfg.head < floor:
+            return f"moves left of cell {floor} at step {t}"
+    return None
+
+
 @record
 class AssumptionReport:
     """Outcome per run convention: 'pass', 'fail' or 'unknown'."""
@@ -183,38 +223,19 @@ def validate_assumptions(machine: TuringMachine, input_string: Sequence[str] | s
         if sym == machine.blank:
             raise MachineError("input string may not contain the blank symbol")
     statuses = ["pass", "pass", "pass", "pass"]
-    notes = [
-        "enforced by the simulator: the head starts on cell 0, left of the input",
-        "",
-        "",
-        "",
-    ]
-    rule = machine.rules.get((machine.start, machine.blank))
-    q1 = None
-    if rule is None:
+    notes = ["enforced by the simulator: the head starts on cell 0, left of the input",
+             "", "", ""]
+    try:
+        notes[1] = f"initial transition moves left into {initial_state(machine)}"
+    except AssumptionError as exc:
         statuses[1] = "fail"
-        notes[1] = "no transition for (start, blank)"
-    else:
-        q1, write, direction = rule
-        if write != machine.blank or direction != LEFT or q1 == machine.start:
-            statuses[1] = "fail"
-            notes[1] = f"initial transition is ({q1},{write},{direction})"
-        else:
-            notes[1] = f"initial transition moves left into {q1}"
+        notes[1] = str(exc)
 
     trace = simulate(machine, input_string, max_steps)
-    floor = trace.configs[1].head if len(trace.configs) > 1 else None
-    violations = []
-    for t, cfg in enumerate(trace.configs):
-        if t >= 1 and cfg.state == machine.start:
-            violations.append(f"re-enters the start state at step {t}")
-            break
-        if floor is not None and cfg.head < floor:
-            violations.append(f"moves left of cell {floor} at step {t}")
-            break
-    if violations:
+    violation = run_violation(trace)
+    if violation:
         statuses[2] = "fail"
-        notes[2] = violations[0]
+        notes[2] = violation
     elif not trace.halted:
         statuses[2] = "unknown"
         notes[2] = f"no violation within {max_steps} steps; machine still running"
@@ -225,7 +246,6 @@ def validate_assumptions(machine: TuringMachine, input_string: Sequence[str] | s
     epsilon_input = len(input_string) == 0
     scanned = any(cfg.head == target for cfg in trace.configs)
     if scanned:
-        statuses[3] = "pass"
         notes[3] = f"scans cell {target}"
     elif trace.halted:
         statuses[3] = "fail"
@@ -246,30 +266,22 @@ def build_tableau(trace: RunTrace):
 
     if not trace.halted:
         raise MachineError("cannot build a tableau from a non-halting trace")
-    machine = trace.machine
+    violation = run_violation(trace)
+    if violation:
+        raise AssumptionError(f"run {violation}")
     configs = trace.configs
-    for t, cfg in enumerate(configs):
-        if t >= 1 and cfg.state == machine.start:
-            raise MachineError("run re-enters the start state")
-    if len(configs) > 1:
-        floor = configs[1].head
-        if any(cfg.head < floor for cfg in configs):
-            raise MachineError("run moves left of the post-first-step cell")
-
-    markers = marker_alphabet(machine)
+    markers = marker_alphabet(trace.machine)
     lo = trace.window_start
     hi = lo + trace.scanned_cells - 1
     rows = []
-    for t, cfg in enumerate(configs):
-        nxt_head = configs[t + 1].head if t + 1 < len(configs) else None
-        nxt_state = configs[t + 1].state if t + 1 < len(configs) else None
+    for t, (cfg, nxt) in enumerate(zip(configs, configs[1:] + (None,))):
         row = []
         for cell in range(lo, hi + 1):
             sym = trace.symbol_at(t, cell)
             if cfg.head == cell:
                 row.append(markers.scanned(sym, cfg.state).id)
-            elif nxt_head == cell:
-                row.append(markers.transmission(sym, nxt_state).id)
+            elif nxt is not None and nxt.head == cell:
+                row.append(markers.transmission(sym, nxt.state).id)
             else:
                 row.append(markers.unscanned(sym).id)
         rows.append(tuple(row))

@@ -461,3 +461,25 @@ def test_c11_least_row_counts_give_the_tableau():
         inner, flipped = rho_decode(result.grid)
         assert flipped and inner.cells == tableau.cells
     _report(11, "least row counts give the tableau, (R,C) and (E,E)", "4 halting runs", started)
+
+
+def test_c12_merged_sat_pair_counts_twice_sat():
+    # Paper result 2 on the SAT chain at marker level: SAT -> (R, C) ->
+    # E = merge_rc(R, C) as both row and column.  Every p x p assignment
+    # tableau is framed into a (p + 1) x (p + 1) grid once as is and once
+    # transposed, so the (E,E) count is 2 x #SAT and each grid decodes to
+    # an assignment tableau.  Single-clause formulas only: the solver
+    # does not yet finish the multi-clause ones at this size.
+    started = time.time()
+    grids = 0
+    for f in (formula(1, (1,)), formula(1, (-1,)), formula(2, (1, 2)), formula(3, (1, 2, 3))):
+        art = sat_reduce(f)
+        merged = merge_rc(art.row_expr, art.col_expr_square)
+        found = enumerate_grids(uniform_puzzle(merged, merged), art.p + 1, art.p + 1)
+        assert len(found) == 2 * brute_force_sat_count(f)
+        decoded = sorted((inner.cells, flipped) for inner, flipped in map(rho_decode, found))
+        tableaux = [assignment_tableau(art, bits).cells for bits in art.halting_assignments]
+        assert decoded == sorted((t, flipped) for t in tableaux for flipped in (False, True))
+        grids += len(found)
+    _report(12, "merged SAT pair counts 2 x #SAT, decoding to tableaux",
+            f"4 single-clause formulas, {grids} grids", started)

@@ -7,12 +7,12 @@ import pytest
 
 from rxc.cli import run
 from rxc.grids import dump_grid, parse_grid, read_grid
-from rxc.machines import demo_machine
+from rxc.machines import bouncing_machine, demo_machine
 from rxc.oracle import dump_dimacs
 from rxc.puzzle import dump_puzzle, parse_puzzle, read_puzzle, uniform_puzzle
 from rxc.rex import Alphabet, parse
 from rxc.solver import enumerate_grids
-from rxc.turing import dump_machine
+from rxc.turing import TuringMachine, dump_machine
 
 from util import AB, formula
 
@@ -125,6 +125,31 @@ def test_tm_verbs(tmp_path, capsys):
     assert run(["tm", "reduce", str(mpath), "-w", "a", "--out", str(ppath)]) == 0
     puzzle = read_puzzle(str(ppath))
     assert run(["verify", str(ppath), str(tpath)]) == 0
+
+
+def test_tm_reduce_refuses_a_run_that_breaks_a_convention(tmp_path, capsys):
+    # (q1,B) -> (q2,B,L) halts after 7 steps on "a" but moves left of its
+    # floor; the reduced puzzle would have no grid, a wrong "no".
+    m = demo_machine()
+    rules = dict(m.rules)
+    rules[("q1", "B")] = ("q2", "B", "L")
+    mpath = tmp_path / "bad.tm"
+    mpath.write_text(dump_machine(TuringMachine(m.states, m.tape_symbols, m.blank,
+                                                m.start, m.halt, rules)))
+    ppath = tmp_path / "bad.rxc"
+    assert run(["tm", "validate", str(mpath), "-w", "a"]) == 1
+    capsys.readouterr()
+    assert run(["tm", "reduce", str(mpath), "-w", "a", "--out", str(ppath)]) == 2
+    assert capsys.readouterr().err == (
+        "error: run convention 3 fails: moves left of cell -1 at step 2\n")
+    assert not ppath.exists()
+    # --max-steps bounds the check: within one step nothing fails yet
+    assert run(["tm", "reduce", str(mpath), "-w", "a", "--max-steps", "1",
+                "--out", str(ppath)]) == 0
+    # a machine still running at --max-steps ("unknown") still reduces
+    bpath = tmp_path / "bouncing.tm"
+    bpath.write_text(dump_machine(bouncing_machine()))
+    assert run(["tm", "reduce", str(bpath), "-w", "a", "--out", str(ppath)]) == 0
 
 
 def test_pipeline_composition(tmp_path):

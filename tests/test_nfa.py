@@ -167,9 +167,11 @@ def test_nested_intersection_of_literal_runs():
 
 
 def test_nested_intersection_of_many_closures_stays_small():
-    # Each part is a star of optional symbols, so its epsilon-closures
-    # are large and many of its edge targets share one; a product that
-    # interleaved the parts' epsilon-moves built 19,604 states here.
+    # Each part is a star of optional symbols, so each of its positions
+    # follows most others and many share one future.  The product keys
+    # its positions on the tuple of the parts' distinct futures and stays
+    # small; a product that interleaved the parts' moves one part at a
+    # time, as an epsilon-NFA product does, built 19,604 states here.
     r = parse("((0?1?0?1?0?1?)*&(1?0?1?0?1?0?)*&(0?0?1?1?)*&(1?1?0?0?)*)*0", AB)
     auto = compile_regex(r)
     assert isinstance(auto, Nfa) and auto.state_count <= 20
@@ -413,8 +415,10 @@ def test_nested_intersection_compiles():
 
 
 def test_deep_tree_closures():
-    # The epsilon-closures of this tree's literal exits climb every level
-    # above them; one walk per edge target took seconds to compile it.
+    # Each level adds at most one position, and each concatenation links
+    # its 1 to the first positions below it in one bitmask OR; a
+    # construction that walks every level above each literal costs time
+    # quadratic in the depth and took seconds here.
     r = deep_api_tree(10_000)
     auto = compile_regex(r)
     rng = random.Random(3)

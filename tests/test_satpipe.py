@@ -15,7 +15,7 @@ from rxc.reductions import (
 )
 from rxc.rex import is_positive
 from rxc.solver import is_plural, verify
-from rxc.turing import simulate, validate_assumptions
+from rxc.turing import TuringMachine, simulate, validate_assumptions
 
 from util import formula
 
@@ -96,6 +96,23 @@ def test_reduce_rejects_wrong_clock():
     machine, w, p = sat_evaluator(f)
     with pytest.raises(EvaluatorError):
         sat_reduce(f, machine=machine, input_string=w, p=p + 3)
+
+
+def test_reduce_refuses_an_evaluator_that_re_enters_the_start_state():
+    # Same clock and the same halting set as the evaluator of x1, but the
+    # run returns to q0 at step 3.  No marker carries a transmission into
+    # the start state, so its puzzle would have no grid where #SAT is 1.
+    f = formula(1, (1,))
+    machine, w, p = sat_evaluator(f)
+    rules = dict(machine.rules)
+    rules[("q2", "B")] = ("q0", "B", "R")
+    for c in machine.tape_symbols:
+        if c != machine.blank:
+            rules[("q0", c)] = ("walk", c, "R")
+    bad = TuringMachine(machine.states, machine.tape_symbols, machine.blank,
+                        machine.start, machine.halt, rules)
+    with pytest.raises(EvaluatorError, match=r"^evaluator re-enters the start state at step 3 on \(1,\)$"):
+        sat_reduce(f, machine=bad, input_string=w, p=p)
 
 
 def test_artifact_shape():

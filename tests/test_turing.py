@@ -15,6 +15,7 @@ from rxc.puzzle import uniform_puzzle
 from rxc.reductions import column_expression, row_expression
 from rxc.solver import verify
 from rxc.turing import (
+    AssumptionError,
     MachineError,
     TuringMachine,
     build_tableau,
@@ -85,6 +86,23 @@ def test_demo_tableau_rows():
 def test_tableau_requires_halt():
     with pytest.raises(MachineError):
         build_tableau(simulate(bouncing_machine(), "a", 50))
+
+
+def test_tableau_refuses_runs_that_break_convention_3():
+    m = demo_machine()
+    left = dict(m.rules)
+    left[("q1", "B")] = ("q2", "B", "L")  # the machine of test_assumption3_left_move_failure
+    reenter = dict(m.rules)
+    reenter[("q2", "B")] = ("q0", "B", "R")
+    reenter[("q0", "a")] = ("q4", "a", "R")
+    for rules, note in ((left, "moves left of cell -1 at step 2"),
+                        (reenter, "re-enters the start state at step 3")):
+        bad = TuringMachine(m.states, m.tape_symbols, m.blank, m.start, m.halt, rules)
+        trace = simulate(bad, "a", 50)
+        assert trace.halted
+        assert validate_assumptions(bad, "a", 50).notes[2] == note
+        with pytest.raises(AssumptionError, match=f"^run {note}$"):
+            build_tableau(trace)
 
 
 def test_tableau_verifies_and_is_tall():

@@ -54,9 +54,12 @@ def random_regex(rng: random.Random, alphabet: Alphabet, depth: int,
 def deep_api_tree(levels: int) -> Regex:
     """A tree ``levels`` levels deep, built through the API by wrapping
     ``0`` in ``opt(r)``, ``concat([1, r])`` and ``union_([r, 0])`` in
-    turn.  In an epsilon-NFA the closure of each literal's exit climbs
-    the exits of every level above it, so a construction that walks it
-    once per literal costs time quadratic in the depth."""
+    turn.  Each level adds at most one position.  The first positions of
+    a level include those of every nullable level below it, so each
+    concatenation links its ``1`` to a set that grows with the depth,
+    but in one bitmask OR; a construction that walks every level above
+    each literal, as an epsilon-closure of its exit does, costs time
+    quadratic in the depth."""
     zero, one = lit(AB, "0"), lit(AB, "1")
     r = zero
     for level in range(levels - 1):
