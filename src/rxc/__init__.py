@@ -71,6 +71,7 @@ from .turing import (
     dump_machine,
     parse_machine,
     read_machine,
+    run_path,
     simulate,
     validate_assumptions,
     write_machine,

@@ -39,7 +39,8 @@ from .solver import (
     solve,
     verify,
 )
-from .turing import AssumptionError, build_tableau, read_machine, simulate, validate_assumptions
+from .turing import (AssumptionError, build_tableau, read_machine, run_path, simulate,
+                     validate_assumptions)
 
 
 class UsageError(ValueError):
@@ -158,13 +159,15 @@ def _cmd_decide_width(args) -> int:
 
 def _cmd_tm_simulate(args) -> int:
     machine = read_machine(args.machine)
-    trace = simulate(machine, args.w, args.max_steps)
-    last = trace.configs[-1]
-    status = "halts" if trace.halted else "still running"
-    print(f"{status} after {trace.steps} steps; {len(trace.configs)} configurations, "
-          f"{trace.scanned_cells} scanned cells")
-    print(f"final state {last.state}, head at cell {last.head}")
-    return 0 if trace.halted else 1
+    path = run_path(machine, args.w, args.max_steps)
+    heads = [head for _, head in path]
+    state, head = path[-1]
+    halted = state == machine.halt
+    status = "halts" if halted else "still running"
+    print(f"{status} after {len(path) - 1} steps; {len(path)} configurations, "
+          f"{max(heads) - min(heads) + 1} scanned cells")
+    print(f"final state {state}, head at cell {head}")
+    return 0 if halted else 1
 
 
 def _cmd_tm_validate(args) -> int:
@@ -177,11 +180,12 @@ def _cmd_tm_validate(args) -> int:
 
 def _cmd_tm_tableau(args) -> int:
     machine = read_machine(args.machine)
-    trace = simulate(machine, args.w, args.max_steps)
-    if not trace.halted:
+    # The tape windows grow with steps times cells: keep them only for
+    # a run that halts.
+    if run_path(machine, args.w, args.max_steps)[-1][0] != machine.halt:
         print(f"machine did not halt within {args.max_steps} steps", file=sys.stderr)
         return 1
-    _emit_grid(build_tableau(trace), args.out)
+    _emit_grid(build_tableau(simulate(machine, args.w, args.max_steps)), args.out)
     return 0
 
 

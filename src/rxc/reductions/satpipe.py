@@ -27,7 +27,7 @@ from ..markers import MarkerAlphabet, marker_alphabet
 from ..oracle import CnfFormula
 from ..records import record
 from ..rex import Regex, concat, union_
-from ..turing import RunTrace, TuringMachine, run_violation, simulate, total_machine
+from ..turing import TuringMachine, run_path, run_violation, simulate, total_machine
 from .binary import binarize_expr
 from .merge import merge_rc
 from .tableau import (
@@ -164,9 +164,9 @@ class SatReductionArtifacts:
         return binarize_expr(self.ell, self.col_expr_square)
 
 
-def _run(machine: TuringMachine, w: str, assignment, budget: int) -> RunTrace:
-    """The run on the tape ``w B a`` for an assignment a."""
-    return simulate(machine, list(w) + [machine.blank] + [str(b) for b in assignment], budget)
+def _tape(machine: TuringMachine, w: str, assignment) -> list[str]:
+    """The tape ``w B a`` for an assignment a."""
+    return list(w) + [machine.blank] + [str(b) for b in assignment]
 
 
 def sat_reduce(
@@ -180,10 +180,11 @@ def sat_reduce(
     Any evaluator may be supplied; omitted pieces come from
     :func:`sat_evaluator`.  The evaluator must keep run conventions 2
     and 3, checked by ``turing.initial_state`` and
-    ``turing.run_violation``.  Validation simulates every assignment and
-    also demands: halting exactly on satisfying assignments, an
-    identical step count p-1 on all of them, the head never right of
-    cell p-2, and the whole of ``w B a`` scanned.
+    ``turing.run_violation``.  Validation runs every assignment
+    (``turing.run_path``) and also demands: halting exactly on
+    satisfying assignments, an identical step count p-1 on all of them,
+    the head never right of cell p-2, and the whole of ``w B a``
+    scanned.
     """
     if machine is None:
         machine, default_w, default_p = sat_evaluator(formula)
@@ -206,20 +207,21 @@ def sat_reduce(
     halting: list[tuple[int, ...]] = []
     for bits in _all_assignments(k):
         expected = formula.satisfied_by(bits)
-        trace = _run(machine, input_string, bits, budget)
-        if expected and not trace.halted:
+        path = run_path(machine, _tape(machine, input_string, bits), budget)
+        halted = path[-1][0] == machine.halt
+        if expected and not halted:
             raise EvaluatorError(f"evaluator fails to halt on satisfying {bits}")
-        if not expected and trace.halted:
+        if not expected and halted:
             raise EvaluatorError(f"evaluator halts on unsatisfying {bits}")
-        if trace.halted:
-            violation = run_violation(trace)  # run convention 3
+        if halted:
+            violation = run_violation(machine, path)  # run convention 3
             if violation:
                 raise EvaluatorError(f"evaluator {violation} on {bits}")
-            if trace.steps != p - 1:
+            if len(path) != p:
                 raise EvaluatorError(
-                    f"evaluator takes {trace.steps} steps on {bits}, clock says {p - 1}"
+                    f"evaluator takes {len(path) - 1} steps on {bits}, clock says {p - 1}"
                 )
-            heads = {cfg.head for cfg in trace.configs}
+            heads = {head for _, head in path}
             if max(heads) > p - 2:
                 raise EvaluatorError(f"head moves right of cell {p - 2} on {bits}")
             if not set(range(1, n + k + 2)) <= heads:
@@ -261,7 +263,8 @@ def assignment_tableau(art: SatReductionArtifacts, assignment) -> Grid | None:
     evaluator diverges on it."""
     from ..turing import build_tableau
 
-    trace = _run(art.machine, art.input_string, assignment, _EVAL_BUDGET_FACTOR * art.p)
+    trace = simulate(art.machine, _tape(art.machine, art.input_string, assignment),
+                     _EVAL_BUDGET_FACTOR * art.p)
     if not trace.halted:
         return None
     return pad_right_with_blanks(build_tableau(trace), art.machine, art.p)

@@ -31,15 +31,19 @@ with its cap, and backing over the boundary restores the caps it
 replaced.  Only symbols no solution uses are removed, so the output
 order is unchanged.  Searches that never meet a dead row, where forward
 checking suffices, pay a flag test per cell and a store or two per
-row boundary and per grid, and never propagate; the open rows of the
-width decider never arm.
+row boundary and per grid, and never propagate.
 
 ``decide_unbounded_width`` answers existence when the number of rows is
 fixed but the number of columns is not: a breadth-first search over
-profiles (the tuple of per-row state sets), filling one column at a
-time with the same search and one shared set of tables, its rows
-open-ended (``feasible(states, None)``), with a visited set
-guaranteeing termination.
+profiles, the tuples of the rows' open-ended table entries (symbols
+left None, so a row need only be able to accept at all), with a
+visited set guaranteeing termination.  A table keeps one entry per
+state set, so a profile is keyed by its entries' identities and no
+state set is hashed per profile.  Each profile runs its own depth-first
+walk down the m cells of one column, reading a cell's candidates as
+the row entry's viable mask ANDed with the column entry's, lowest
+symbol id first, and each full column leads to the profile of the rows'
+links on its symbols.  One set of tables serves the whole decision.
 """
 
 from __future__ import annotations
@@ -94,64 +98,59 @@ def verify(puzzle: Puzzle, grid: Grid) -> bool:
     return True
 
 
-def _fill(row_autos: Sequence[Automaton], col_autos: Sequence[Automaton],
-          row_starts: Sequence, col_starts: Sequence, open_rows: bool = False,
-          tables: dict[int, ViableSymbols] | None = None,
-          ) -> Iterator[tuple[list[int], list]]:
-    """Yield every filling of an m x n block, in row-major lexicographic order.
-
-    Row i starts in ``row_starts[i]`` and column j in ``col_starts[j]``.
-    A cell's candidates are the symbols that let both its lines still
-    accept in exactly the cells left on them (with ``open_rows`` a row
-    need only be able to accept at all), read from one viable-symbol
-    table per automaton; ``tables`` (keyed by automaton id) may be shared
-    by calls over the same automata.  The column is only asked about the
-    symbols its row allows, and each (state set, symbol) pair is stepped
-    at most once per table.  Each cell keeps its untried candidates and
-    the row and column table entries it read.  A cell's entries are the
-    links of its left and upper neighbours' entries on their symbols, so
-    entering a cell indexes lists and hashes nothing, and backing up
-    within a row needs no undo.  Once the search has backed over a dead
-    row (closed rows only), each row boundary it enters runs
-    ``_propagate`` and each cell's candidates are ANDed with its cap;
-    backing over the boundary restores the caps it replaced.  Yields
-    ``(cells, row_entries)``, row-major; row k steps to
-    ``row_entries[k].succ[cells[k]]``.  Both lists are reused, so read
-    them before resuming.
-    """
-    if tables is None:
-        tables = {}
-    for a in (*row_autos, *col_autos):
+def _tables(autos: Sequence[Automaton]) -> list[ViableSymbols]:
+    """One viable-symbol table per automaton, shared by its repeats, so
+    an (E,E) grid's rows and columns read one table."""
+    tables: dict[int, ViableSymbols] = {}
+    for a in autos:
         if id(a) not in tables:
             tables[id(a)] = ViableSymbols(a)
-    row_tabs = [tables[id(a)] for a in row_autos]
-    col_tabs = [tables[id(a)] for a in col_autos]
+    return [tables[id(a)] for a in autos]
+
+
+def _fill(row_autos: Sequence[Automaton], col_autos: Sequence[Automaton],
+          ) -> Iterator[list[int]]:
+    """Yield every filling of an m x n grid, in row-major lexicographic order.
+
+    A cell's candidates are the symbols that let both its lines still
+    accept in exactly the cells left on them, read from one viable-symbol
+    table per automaton (``_tables``).  The column is only asked about
+    the symbols its row allows, and each (state set, symbol) pair is
+    stepped at most once per table.  Each cell keeps its untried
+    candidates and the row and column table entries it read.  A cell's
+    entries are the links of its left and upper neighbours' entries on
+    their symbols, so entering a cell indexes lists and hashes nothing,
+    and backing up within a row needs no undo.  Once the search has
+    backed over a dead row, each row boundary it enters runs
+    ``_propagate`` and each cell's candidates are ANDed with its cap;
+    backing over the boundary restores the caps it replaced.  Yields the
+    cells, row-major, in one reused list, so read it before resuming.
+    """
     m, n = len(row_autos), len(col_autos)
+    tabs = _tables([*row_autos, *col_autos])
+    row_tabs, col_tabs = tabs[:m], tabs[m:]
     size = m * n
     # The row entry of each first-column cell and the column entry of
     # each first-row cell, from one keyed lookup each; every other cell's
     # entries are links.
     row_roots: list = [None] * size
     col_roots: list = [None] * size
-    for i, (tab, states) in enumerate(zip(row_tabs, row_starts)):
-        row_roots[i * n] = tab.entry(states, None if open_rows else n - 1)
-    for j, (tab, states) in enumerate(zip(col_tabs, col_starts)):
-        col_roots[j] = tab.entry(states, m - 1)
+    for i, (tab, a) in enumerate(zip(row_tabs, row_autos)):
+        row_roots[i * n] = tab.entry(a.start_set(), n - 1)
+    for j, (tab, a) in enumerate(zip(col_tabs, col_autos)):
+        col_roots[j] = tab.entry(a.start_set(), m - 1)
     every = (1 << len(row_autos[0].alphabet)) - 1
     cells = [0] * size
     todo = [0] * size
     rows: list = [None] * size
     cols: list = [None] * size
-    # boundary[k]: cell k is the first cell or, unless rows are open, a
-    # row's first cell.  A boundary k on the search's path has yielded a
-    # grid since the search entered it iff live >= k.  Once armed,
-    # caps[k] masks the symbols that cell k's lines still support, and
-    # saved[k] holds the caps that the propagation at boundary k replaced.
+    # boundary[k]: cell k is a row's first cell.  A boundary k on the
+    # search's path has yielded a grid since the search entered it iff
+    # live >= k.  Once armed, caps[k] masks the symbols that cell k's
+    # lines still support, and saved[k] holds the caps that the
+    # propagation at boundary k replaced.
     boundary = [False] * size
-    if open_rows:
-        boundary[0] = True
-    else:
-        boundary[::n] = [True] * m
+    boundary[::n] = [True] * m
     live = -1
     caps = [every] * size
     saved: list = [None] * size
@@ -208,7 +207,7 @@ def _fill(row_autos: Sequence[Automaton], col_autos: Sequence[Automaton],
             k, enter = k + 1, True
         else:
             live = size
-            yield cells, rows
+            yield cells
             enter = False
 
 
@@ -242,22 +241,21 @@ def _propagate(caps: list[int], k: int, n: int, row_tabs: Sequence[ViableSymbols
     return True
 
 
-def _fillings(puzzle: Puzzle, m: int, n: int) -> Iterator[tuple[list[int], list]]:
+def _fillings(puzzle: Puzzle, m: int, n: int) -> Iterator[list[int]]:
     if m < 1 or n < 1:
         raise DimensionError("dimensions must be positive")
     _check_fixed(puzzle, m, n, "asked for")
     cache: dict[int, Automaton] = {}
     row_autos = _compiled(puzzle.row_exprs(m), cache)
     col_autos = _compiled(puzzle.col_exprs(n), cache)
-    return _fill(row_autos, col_autos,
-                 [a.start_set() for a in row_autos], [a.start_set() for a in col_autos])
+    return _fill(row_autos, col_autos)
 
 
 def _grids(puzzle: Puzzle, m: int, n: int) -> Iterator[Grid]:
     fillings = _fillings(puzzle, m, n)
     alphabet = puzzle.alphabet
     return (Grid(alphabet, tuple(tuple(cells[i:i + n]) for i in range(0, m * n, n)))
-            for cells, _ in fillings)
+            for cells in fillings)
 
 
 def enumerate_grids(puzzle: Puzzle, m: int, n: int, cap: int | None = None) -> list[Grid]:
@@ -315,10 +313,11 @@ def decide_unbounded_width(rows: Sequence[Regex], col_expr: Regex) -> WidthResul
     """Does a grid with these rows and uniform columns exist for some width?
 
     Decides existence over all widths n >= 1 for the fixed list of row
-    expressions.  Columns are generated symbol by symbol under the
-    column automaton; profiles already seen are never revisited, which
-    bounds the search by the finite profile space.  On success the
-    least witness width and one witness grid are returned.  An
+    expressions.  Columns are generated symbol by symbol, one walk down
+    a column per profile (see the module docstring); profiles already
+    seen are never revisited, which bounds the search by the finite
+    profile space.  On success the least witness width and the
+    column-major least witness grid of that width are returned.  An
     expression object that is both a row and the column, as in the (E,
     E) form, is compiled once and shares one viable-symbol table, whose
     entries are keyed by symbols left as well as state set.
@@ -332,8 +331,9 @@ def decide_unbounded_width(rows: Sequence[Regex], col_expr: Regex) -> WidthResul
     row_autos = _compiled(rows, cache)
     (col_auto,) = _compiled([col_expr], cache)
     m = len(rows)
+    *row_tabs, col_tab = _tables([*row_autos, col_auto])
 
-    start = tuple(a.start_set() for a in row_autos)
+    start = tuple(tab.entry(a.start_set(), None) for tab, a in zip(row_tabs, row_autos))
     parents: dict[tuple, tuple[tuple, tuple[int, ...]] | None] = {start: None}
     queue: deque[tuple[tuple, int]] = deque([(start, 0)])
 
@@ -347,16 +347,46 @@ def decide_unbounded_width(rows: Sequence[Regex], col_expr: Regex) -> WidthResul
         cells = tuple(tuple(col[i] for col in columns) for i in range(m))
         return Grid(alphabet, cells)
 
-    col_start = [col_auto.start_set()]
-    tables: dict[int, ViableSymbols] = {}
+    col_root = col_tab.entry(col_auto.start_set(), m - 1)
+    every = (1 << len(alphabet)) - 1
+    cells = [0] * m
+    todo = [0] * m
+    cols: list = [None] * m
     while queue:
         profile, depth = queue.popleft()
-        for column, entries in _fill(row_autos, [col_auto], profile, col_start,
-                                     open_rows=True, tables=tables):
-            nxt = tuple(e.succ[sym] for e, sym in zip(entries, column))
-            if all(a.accepts(s) for a, s in zip(row_autos, nxt)):
-                return WidthResult(True, depth + 1, rebuild(profile, tuple(column)))
+        k, enter = 0, True
+        while k >= 0:
+            if enter:
+                row = profile[k]
+                mask = row_tabs[k].among(row, every) if row.unstepped else row.viable
+                if mask:
+                    if k:
+                        up, sym = cols[k - 1], cells[k - 1]
+                        col = up.links[sym] or col_tab.link(up, sym)
+                    else:
+                        col = col_root
+                    cols[k] = col
+                    if mask & col.unstepped:
+                        mask = col_tab.among(col, mask)
+                    else:
+                        mask &= col.viable
+            else:
+                mask = todo[k]
+            if not mask:
+                k, enter = k - 1, False
+                continue
+            low = mask & -mask
+            todo[k] = mask ^ low
+            cells[k] = low.bit_length() - 1
+            if k + 1 < m:
+                k, enter = k + 1, True
+                continue
+            enter = False
+            nxt = tuple(e.links[sym] or tab.link(e, sym)
+                        for tab, e, sym in zip(row_tabs, profile, cells))
+            if all(a.accepts(e.states) for a, e in zip(row_autos, nxt)):
+                return WidthResult(True, depth + 1, rebuild(profile, tuple(cells)))
             if nxt not in parents:
-                parents[nxt] = (profile, tuple(column))
+                parents[nxt] = (profile, tuple(cells))
                 queue.append((nxt, depth + 1))
     return WidthResult(False)

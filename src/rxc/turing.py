@@ -18,6 +18,10 @@ Four run conventions matter for the grid constructions built on top:
 The simulator enforces 1, ``initial_state`` checks 2 and
 ``run_violation`` checks 3; ``validate_assumptions``, ``build_tableau``,
 the tableau expressions and ``sat_reduce`` all go through these two.
+Convention 3 reads only states and heads, so ``validate_assumptions``
+and ``sat_reduce`` run a machine through ``run_path``, in time and
+memory linear in the steps; ``simulate`` also keeps every
+configuration's tape window, which the tableau needs.
 3 and 4 are only semidecidable, so past the step budget the report
 calls them unknown rather than guessing.
 
@@ -46,7 +50,7 @@ transitions plus the start/halt lines.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .records import record
 
@@ -138,14 +142,11 @@ class RunTrace:
         return self.configs[t].window[cell - self.window_start]
 
 
-def simulate(machine: TuringMachine, initial_tape: Sequence[str] | str,
-             max_steps: int) -> RunTrace:
-    """Run the machine; the tape content occupies cells 1..len.
-
-    Returns the trace up to the halt (halted=True) or up to max_steps
-    (halted=False).  The per-config windows cover exactly the cells the
-    head visited during the traced run.
-    """
+def _configs(machine: TuringMachine, initial_tape: Sequence[str] | str,
+             max_steps: int) -> Iterator[tuple[str, int, dict[int, str]]]:
+    """The run's configurations up to the halt or ``max_steps`` steps, as
+    (state, head, tape); the tape content starts on cells 1..len.  The
+    tape dict is reused, so read it before resuming."""
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     for sym in initial_tape:
@@ -156,10 +157,10 @@ def simulate(machine: TuringMachine, initial_tape: Sequence[str] | str,
     }
     head = 0
     state = machine.start
-    history: list[tuple[str, int, dict[int, str]]] = [(state, head, dict(tape))]
+    yield state, head, tape
     for _ in range(max_steps):
         if state == machine.halt:
-            break
+            return
         read = tape.get(head, machine.blank)
         state, write, direction = machine.rules[(state, read)]
         if write == machine.blank:
@@ -167,8 +168,29 @@ def simulate(machine: TuringMachine, initial_tape: Sequence[str] | str,
         else:
             tape[head] = write
         head += 1 if direction == RIGHT else -1
-        history.append((state, head, dict(tape)))
-    halted = state == machine.halt
+        yield state, head, tape
+
+
+def run_path(machine: TuringMachine, initial_tape: Sequence[str] | str,
+             max_steps: int) -> list[tuple[str, int]]:
+    """The (state, head) of each configuration of the run, up to the halt
+    or ``max_steps`` steps: all the run conventions read, in time and
+    memory linear in the steps.  The run halted iff the last state is
+    the halting state."""
+    return [(state, head) for state, head, _ in _configs(machine, initial_tape, max_steps)]
+
+
+def simulate(machine: TuringMachine, initial_tape: Sequence[str] | str,
+             max_steps: int) -> RunTrace:
+    """Run the machine; the tape content occupies cells 1..len.
+
+    Returns the trace up to the halt (halted=True) or up to max_steps
+    (halted=False).  The per-config windows cover exactly the cells the
+    head visited during the traced run, so the trace grows with steps
+    times cells; ``run_path`` keeps only states and heads.
+    """
+    history = [(q, h, dict(t)) for q, h, t in _configs(machine, initial_tape, max_steps)]
+    halted = history[-1][0] == machine.halt
     lo = min(h for _, h, _ in history)
     hi = max(h for _, h, _ in history)
     configs = tuple(
@@ -187,18 +209,17 @@ def initial_state(machine: TuringMachine) -> str:
     return q1
 
 
-def run_violation(trace: RunTrace) -> str | None:
-    """Convention 3 along a trace: the first return to the start state or
-    move left of the floor, the cell reached after the first step, as a
-    note; None if there is neither."""
-    configs = trace.configs
-    if len(configs) < 2:
+def run_violation(machine: TuringMachine, path: Sequence[tuple[str, int]]) -> str | None:
+    """Convention 3 along a run's (state, head) path (``run_path``): the
+    first return to the start state or move left of the floor, the cell
+    reached after the first step, as a note; None if there is neither."""
+    if len(path) < 2:
         return None
-    floor = configs[1].head
-    for t, cfg in enumerate(configs):
-        if t and cfg.state == trace.machine.start:
+    floor = path[1][1]
+    for t, (state, head) in enumerate(path):
+        if t and state == machine.start:
             return f"re-enters the start state at step {t}"
-        if cfg.head < floor:
+        if head < floor:
             return f"moves left of cell {floor} at step {t}"
     return None
 
@@ -218,7 +239,8 @@ class AssumptionReport:
 
 def validate_assumptions(machine: TuringMachine, input_string: Sequence[str] | str,
                          max_steps: int) -> AssumptionReport:
-    """Check the four run conventions against a bounded simulation."""
+    """Check the four run conventions against a bounded run, read off
+    its (state, head) path alone."""
     for sym in input_string:
         if sym == machine.blank:
             raise MachineError("input string may not contain the blank symbol")
@@ -231,12 +253,13 @@ def validate_assumptions(machine: TuringMachine, input_string: Sequence[str] | s
         statuses[1] = "fail"
         notes[1] = str(exc)
 
-    trace = simulate(machine, input_string, max_steps)
-    violation = run_violation(trace)
+    path = run_path(machine, input_string, max_steps)
+    halted = path[-1][0] == machine.halt
+    violation = run_violation(machine, path)
     if violation:
         statuses[2] = "fail"
         notes[2] = violation
-    elif not trace.halted:
+    elif not halted:
         statuses[2] = "unknown"
         notes[2] = f"no violation within {max_steps} steps; machine still running"
     else:
@@ -244,10 +267,10 @@ def validate_assumptions(machine: TuringMachine, input_string: Sequence[str] | s
 
     target = len(input_string) + 1
     epsilon_input = len(input_string) == 0
-    scanned = any(cfg.head == target for cfg in trace.configs)
+    scanned = any(head == target for _, head in path)
     if scanned:
         notes[3] = f"scans cell {target}"
-    elif trace.halted:
+    elif halted:
         statuses[3] = "fail"
         notes[3] = f"halts without scanning cell {target}"
     else:
@@ -266,7 +289,7 @@ def build_tableau(trace: RunTrace):
 
     if not trace.halted:
         raise MachineError("cannot build a tableau from a non-halting trace")
-    violation = run_violation(trace)
+    violation = run_violation(trace.machine, [(cfg.state, cfg.head) for cfg in trace.configs])
     if violation:
         raise AssumptionError(f"run {violation}")
     configs = trace.configs

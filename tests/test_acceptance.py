@@ -108,10 +108,10 @@ def test_c03_nonhalting_machine_has_no_grid():
     row = row_expression(machine, "a", mk)
     col = column_expression(machine, mk)
     merged = merge_rc(row, col)
-    for m in range(1, 9):
+    for m in range(1, 13):
         assert not decide_unbounded_width([row] * m, col).exists
         assert not decide_unbounded_width([merged] * m, merged).exists
-    _report(3, "non-halting machine yields no width", "row counts 1..8, (R,C) and (E,E)", started)
+    _report(3, "non-halting machine yields no width", "row counts 1..12, (R,C) and (E,E)", started)
 
 
 def test_c04_square_padding():

@@ -13,7 +13,7 @@ from rxc.oracle import brute_force_crosswords
 from rxc.puzzle import Puzzle, uniform_puzzle
 from rxc import solver
 from rxc.reductions import column_expression, merge_rc, row_expression
-from rxc.rex import Alphabet, is_positive, parse, regex_matches
+from rxc.rex import Alphabet, is_positive, parse, regex_matches, union_, word
 from rxc.solver import (
     DimensionError,
     count_grids,
@@ -377,3 +377,28 @@ def test_decide_width_agrees_with_bounded_search():
             assert verify(p, res.grid)
         elif not res.exists:
             assert not bounded
+
+
+
+def test_decide_width_witness_is_the_column_major_least_grid():
+    # Against the oracle, which knows no automaton: the witness has the
+    # least width with a grid, and of that width's grids it is the least
+    # read column by column.  Each line is a random expression or the
+    # line's words in two planted grids of at most 12 cells, so a width
+    # exists, the oracle reaches it, and most widths have several grids.
+    rng = random.Random(2024)
+    for _ in range(150):
+        m = rng.randint(1, 3)
+        n = rng.randint(1, 12 // m)
+        planted = [[[rng.choice(AB.tokens) for _ in range(n)] for _ in range(m)]
+                   for _ in range(2)]
+        rows = [union_([random_regex(rng, AB, depth=3)] + [word(AB, g[i]) for g in planted])
+                for i in range(m)]
+        col = union_([random_regex(rng, AB, depth=3)]
+                     + [word(AB, w) for g in planted for w in zip(*g)])
+        res = decide_unbounded_width(rows, col)
+        assert res.exists and res.width <= n
+        p = Puzzle(AB, tuple(rows), col)
+        assert not any(brute_force_crosswords(p, m, n) for n in range(1, res.width))
+        least = min(brute_force_crosswords(p, m, res.width), key=lambda g: tuple(zip(*g.cells)))
+        assert res.grid.cells == least.cells

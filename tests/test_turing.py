@@ -1,5 +1,7 @@
 """Machines, simulation, assumption checks and tableaux."""
 
+import tracemalloc
+
 import pytest
 
 from rxc.cli import run
@@ -22,6 +24,7 @@ from rxc.turing import (
     dump_machine,
     parse_machine,
     simulate,
+    total_machine,
     validate_assumptions,
 )
 
@@ -61,6 +64,29 @@ def test_nonhalting_reports_unknown():
     report = validate_assumptions(bouncing_machine(), "a", 200)
     assert report.statuses[2] == "unknown"
     assert report.statuses[3] == "pass"  # scans the cell right of the input early
+
+
+def test_validate_runs_in_linear_memory():
+    # A machine that writes a while running right never halts and keeps
+    # the conventions, and its tape grows by a cell a step.  The
+    # conventions read only states and heads, so 10,000 steps take a few
+    # megabytes; copying the tape at every step, and a window over every
+    # cell for every configuration, would take gigabytes.
+    runner = total_machine(("q0", "q1", "q2", "qh"), ("B", "a"), "B", "q0", "qh", {
+        ("q0", "B"): ("q1", "B", "L"),
+        ("q1", "B"): ("q2", "B", "R"),
+        ("q2", "B"): ("q2", "a", "R"),
+        ("q2", "a"): ("q2", "a", "R"),
+    })
+    tracemalloc.start()
+    try:
+        report = validate_assumptions(runner, "a", 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.statuses == ("pass", "pass", "unknown", "pass")
+    assert report.notes[2] == "no violation within 10000 steps; machine still running"
+    assert peak < 5 << 20
 
 
 def test_timeout_trace():
