@@ -30,7 +30,6 @@ from .rex import (
 )
 from .nfa import (
     Nfa,
-    ProductAuto,
     compile_regex,
     enumerate_language,
     is_empty,

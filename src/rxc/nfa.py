@@ -1,48 +1,39 @@
 """Position automata compiled from regex trees.
 
-There are two automaton kinds, and one rule picks between them.  An
-intersection at the root is an implicit product (``ProductAuto``) of
-its parts' flat automata, with one state set tracked per part; every
-other tree compiles to one flat automaton (``Nfa``) by the position
+Every tree compiles to one position table (``Nfa``), by the position
 construction of Glushkov and of McNaughton and Yamada, over symbol
 classes: a literal, or a union of literals only, is one mask of
 symbols, and each such class placed in the tree is one position.  A
 position is entered by reading a symbol of its class; its follow set
 holds the positions that can be entered next.  No automaton has an
-epsilon-edge, so no closure is ever taken.  Inside a flat automaton a
-nested intersection becomes the reachable product of its parts'
-positions, as in Caron, Champarnaud and Mignot (LATA 2011), trimmed to
-the positions that can still end the intersection.  Emptiness
-(``is_empty``) compiles flat whatever the root, so every product it
-reads is exact.
+epsilon-edge, so no closure is ever taken.  A nested intersection
+becomes the reachable product of its parts' positions, as in Caron,
+Champarnaud and Mignot (LATA 2011), trimmed to the positions that can
+still end the intersection.  A root intersection stays an implicit
+product: its operands' tables sit side by side in one table, each in
+its own range of bits.  Emptiness (``is_empty``) compiles the root as
+one operand whatever it is, so every product it reads is exact.
 
-State sets are integer bitmasks for flat automata and tuples of part
-sets for products.  A flat set holds the positions that can be entered
-next, and bit 0, which no position uses, when the word read so far is
-accepted.  A step on a symbol ORs the follow sets of the positions in
-the set whose class holds the symbol.  A set with no bit is empty and
-signals a dead prefix.
+A state set is one int bitmask of the positions that can be entered
+next.  Each operand's range starts at its end bit, no position, which
+the set holds when the word read so far ends that operand.  A step ORs
+the follow sets of the set's positions whose class holds the symbol.  A
+set accepts when it holds every end bit, and is dead when some range
+holds no bit.
 
-Every automaton reports, per state set, the symbols the set can read
+An automaton reports, per state set, the symbols the set can read
 (``readable``); any other symbol steps it to a dead set.
 ``ViableSymbols`` tabulates, per state set and number of symbols left,
-which symbols keep a line alive, and never steps an unreadable symbol.
-Its entries are the nodes of a lazily built DFA, each linked to its
-successors' entries: the grid search and ``enumerate_language`` walk
-the links, so a state set is hashed only at a walk's root and once per
-new link.  The entries of one state set share its readable mask and
-its successors, so each (state set, symbol) pair is stepped at most
-once, whatever the number of symbols left.  The same entries answer the
-backward half of REGULAR for one line at a time (``supports``): which
-symbols of each cell's mask some accepting walk through all the masks
-uses.
+which symbols keep a line alive, as the nodes of a lazily built DFA
+that the grid search and ``enumerate_language`` walk.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Iterator, Sequence, Union as TUnion
 
-from .records import record
 from .rex import (
     Alphabet,
     Concat,
@@ -56,7 +47,6 @@ from .rex import (
     Star,
     Symbol,
     Union,
-    _fold,
     symbols,
 )
 
@@ -69,53 +59,63 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class Nfa:
-    """Flat position automaton over symbol ids, stepping bitmasks of
-    positions.
+    """Position table over symbol ids, stepping bitmasks of positions.
 
-    ``classes[q]`` is the mask of the symbols that enter position q and
-    ``follow[q]`` the set entered next, holding bit 0 when q can end a
-    word; ``start`` is the set before any symbol.  Bit 0 is no position,
-    so its class and follow set are empty.  ``state_count`` is the
-    number of bits a set can hold: the positions and bit 0.  The
-    automaton has no epsilon-edge; ``labeled_edges`` lists its edges,
-    one per position, symbol of its class and bit of its follow set,
-    made on each read and never kept.
+    ``classes[q]`` masks the symbols that enter position q, ``follow[q]``
+    is the set entered next and ``start`` the set before any symbol.
+    ``ends`` masks the end bits, one per packed operand (bit 0 alone for
+    one): an end bit is no position, and a follow set holds it when its
+    position can end the operand.  ``ranges[i]`` masks operand i's bits,
+    from its end bit up to the next one; no follow set leaves its range.
+    ``state_count`` is the number of bits.  ``labeled_edges`` lists the
+    edges, one per position, symbol of its class and bit of its follow
+    set, made on each read; there is no epsilon-edge.
     """
 
     epsilon_edges: frozenset[tuple[int, int]] = frozenset()
 
     def __init__(self, alphabet: Alphabet, start: int,
-                 classes: Sequence[int], follow: Sequence[int]):
+                 classes: Sequence[int], follow: Sequence[int], ends: int = 1):
         n, nsyms = len(classes), len(alphabet)
         if len(follow) != n:
             raise ValueError(f"{len(follow)} follow sets for {n} classes")
-        if not n or classes[0] or follow[0]:
-            raise ValueError("bit 0 is no position: it needs an empty class and follow set")
-        if not 0 <= start or start.bit_length() > n:
+        if not ends & 1 or ends >> n:
+            raise ValueError(f"end bits {ends:#x} must hold bit 0 and lie below bit {n}")
+        if start & ~((1 << n) - 1):
             raise ValueError(f"start set {start:#x} out of range")
+        syms = (1 << nsyms) - 1
         pos = [0] * nsyms
         preds = []
-        for q, (cls, nxt) in enumerate(zip(classes, follow)):
-            if not 0 <= cls or cls.bit_length() > nsyms:
-                raise ValueError(f"class {cls:#x} of position {q} out of range")
-            if not 0 <= nxt or nxt.bit_length() > n:
-                raise ValueError(f"follow set {nxt:#x} of position {q} out of range")
-            if cls:
-                bit = 1 << q
-                for a in _bits(cls):
-                    pos[a] |= bit
-                preds.append((nxt, q))
+        ranges = []
+        bounds = [*_bits(ends), n]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if classes[lo] or follow[lo]:
+                raise ValueError(f"end bit {lo} is no position: it needs an empty class and follow set")
+            own = (1 << hi) - (1 << lo)
+            ranges.append(own)
+            for q in range(lo + 1, hi):
+                cls, nxt = classes[q], follow[q]
+                if cls & ~syms:
+                    raise ValueError(f"class {cls:#x} of position {q} out of range")
+                if nxt & ~own:
+                    raise ValueError(f"follow set {nxt:#x} of position {q} out of range")
+                if cls:
+                    preds.append((nxt, q))
+                    for a in _bits(cls):
+                        pos[a] |= 1 << q
         self.alphabet = alphabet
         self.state_count = n
         self.start = start
         self.classes = tuple(classes)
         self.follow = tuple(follow)
+        self.ends = ends
+        self.ranges = tuple(ranges)
         self._pos = pos
         # One (follow set, position) pair per position that can be
         # entered: it is one symbol before a layer iff its follow set
         # meets the layer.
         self._preds = preds
-        self._reach_layers = [1]
+        self._reach_layers = [ends]
         self._reach_any: int | None = None
 
     @property
@@ -139,20 +139,27 @@ class Nfa:
         return out
 
     def readable(self, states: int) -> int:
-        """Mask of the symbols that enter some position in ``states``."""
-        out = 0
+        """Mask of the symbols that enter a position of ``states`` in each range."""
+        out = -1
         classes = self.classes
-        while states:
-            low = states & -states
-            out |= classes[low.bit_length() - 1]
-            states ^= low
+        for own in self.ranges:
+            got = 0
+            todo = states & own
+            while todo:
+                low = todo & -todo
+                got |= classes[low.bit_length() - 1]
+                todo ^= low
+            out &= got
         return out
 
     def is_dead(self, states: int) -> bool:
-        return states == 0
+        for own in self.ranges:
+            if not states & own:
+                return True
+        return False
 
     def accepts(self, states: int) -> bool:
-        return bool(states & 1)
+        return states & self.ends == self.ends
 
     def _preds_of(self, layer: int) -> int:
         out = 0
@@ -162,67 +169,34 @@ class Nfa:
         return out
 
     def reach_in(self, steps: int | None) -> int:
-        """Mask of the bits with some accepting path of exactly ``steps``
-        symbols, or of any length when ``steps`` is None."""
+        """Mask of the bits with some path of exactly ``steps`` symbols
+        to their range's end bit, or of any length when ``steps`` is
+        None."""
         if steps is None:
             if self._reach_any is None:
-                alive = frontier = 1
+                alive = frontier = self.ends
                 while frontier:
                     grown = self._preds_of(frontier)
                     frontier = grown & ~alive
                     alive |= grown
                 self._reach_any = alive
             return self._reach_any
+        if steps < 0:
+            raise ValueError(f"negative symbol count {steps}")
         layers = self._reach_layers
         while len(layers) <= steps:
             layers.append(self._preds_of(layers[-1]))
         return layers[steps]
 
     def feasible(self, states: int, steps: int | None) -> bool:
-        """Can some bit of ``states`` accept after exactly ``steps``
-        more symbols (after any number when ``steps`` is None)?"""
-        return states != 0 and bool(states & self.reach_in(steps))
-
-
-@record
-class ProductAuto:
-    """Implicit intersection: one operand automaton per child.
-
-    A state set is the tuple of per-child sets; the joint reachable set
-    is exactly their cartesian product, because the operands step in
-    lockstep on the same symbols.
-    """
-
-    children: tuple[Nfa, ...]
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.children[0].alphabet
-
-    def start_set(self):
-        return tuple(c.start_set() for c in self.children)
-
-    def step(self, states, sym_id: int):
-        return tuple(c.step(s, sym_id) for c, s in zip(self.children, states))
-
-    def readable(self, states) -> int:
-        out = -1
-        for c, s in zip(self.children, states):
-            out &= c.readable(s)
-        return out
-
-    def is_dead(self, states) -> bool:
-        return any(c.is_dead(s) for c, s in zip(self.children, states))
-
-    def accepts(self, states) -> bool:
-        return all(c.accepts(s) for c, s in zip(self.children, states))
-
-    def feasible(self, states, steps: int | None) -> bool:
-        # Sound overapproximation: each child needs its own witness word.
-        return all(c.feasible(s, steps) for c, s in zip(self.children, states))
-
-
-Automaton = TUnion[Nfa, ProductAuto]
+        """Can ``states`` accept after exactly ``steps`` more symbols
+        (after any number when ``steps`` is None)?  Each range needs a
+        bit that can, with a witness word of its own."""
+        hit = states & self.reach_in(steps)
+        for own in self.ranges:
+            if not hit & own:
+                return False
+        return True
 
 
 class ViableEntry:
@@ -274,7 +248,7 @@ class ViableSymbols:
 
     __slots__ = ("auto", "_nsyms", "_nodes", "_entries", "_supports")
 
-    def __init__(self, auto: Automaton):
+    def __init__(self, auto: Nfa):
         self.auto = auto
         self._nsyms = len(auto.alphabet)
         # Per state set: (readable mask, successor list).
@@ -377,14 +351,10 @@ class ViableSymbols:
 
 # --- compilation -------------------------------------------------------------
 
-# A placed fragment: (lowest position or None, first positions, last
-# positions, nullable).  Its positions run from the lowest one up to the
+# A placed fragment: (first positions, last positions, nullable).  Its
+# positions run from the number of bits made before its node up to the
 # last position made, and their follow sets hold only its own positions.
-Fragment = tuple[int | None, int, int, bool]
-
-
-def _lowest(parts: Sequence[Fragment]) -> int | None:
-    return min((lo for lo, _, _, _ in parts if lo is not None), default=None)
+Fragment = tuple[int, int, bool]
 
 
 class _Positions:
@@ -398,7 +368,7 @@ class _Positions:
     part, through nullable parts to the ones after them; a star or plus
     links its body's last positions to its first.  A union ORs its
     parts, its pending classes placed together as one position, and
-    epsilon is ``(None, 0, 0, True)``.  No node adds a position beyond
+    epsilon is ``(0, 0, True)``.  No node adds a position beyond
     one per placed class.  A nested intersection replaces its parts'
     positions, the last ones made, by their product (``product``).
     """
@@ -408,68 +378,104 @@ class _Positions:
         self.classes = [0]
         self.follow = [0]
 
-    def place(self, kid: TUnion[int, Fragment]) -> Fragment:
-        """A pending class as one fresh position; a placed fragment as is."""
-        if isinstance(kid, tuple):
-            return kid
-        q = len(self.classes)
-        self.classes.append(kid)
-        self.follow.append(0)
-        return q, 1 << q, 1 << q, False
-
-    def link(self, last: int, first: int) -> None:
-        """Let every position of ``last`` be followed by ``first``."""
-        if first:
-            follow = self.follow
-            for q in _bits(last):
-                follow[q] |= first
-
-    def fragment(self, node: Node, kids: Sequence) -> TUnion[int, Fragment]:
-        if isinstance(node, Lit):
-            return 1 << node.sym.id
-        if isinstance(node, Eps):
-            return None, 0, 0, True
-        if isinstance(node, Union):
-            mask = 0
-            parts = []
-            for kid in kids:
-                if isinstance(kid, int):
-                    mask |= kid
+    def table(self, root: Node) -> tuple[int, list[int], list[int]]:
+        """The start set, classes and follow sets of the tree under
+        ``root`` as one operand, bit 0 its end bit, from one post-order
+        walk on an explicit stack; a repeated subtree gets its own
+        positions at each occurrence.
+        """
+        classes, follow = self.classes, self.follow
+        # One frame per inner node: its class, an iterator over the parts
+        # still to walk, the values of those walked, and the number of
+        # bits made before it, its lowest position if it makes any.  The
+        # first frame concatenates the root alone, placing a root class.
+        # A union ORs its literal parts into its class as it is entered.
+        frames: list = [(Concat, iter((root,)), [], 1)]
+        while True:
+            kind, todo, kids, base = frames[-1]
+            for child in todo:
+                cls = child.__class__
+                if cls is Lit:
+                    kids.append(1 << child.sym.id)
+                elif cls is Eps:
+                    kids.append((0, 0, True))
+                elif cls is Union:
+                    mask, rest = 0, []
+                    for part in child.parts:
+                        if part.__class__ is Lit:
+                            mask |= 1 << part.sym.id
+                        else:
+                            rest.append(part)
+                    frames.append((cls, iter(rest), [mask] if mask else [], len(classes)))
+                    break
+                elif cls is Concat or cls is Inter or cls is Star or cls is Plus or cls is Opt:
+                    parts = child.parts if cls is Concat or cls is Inter else (child.body,)
+                    frames.append((cls, iter(parts), [], len(classes)))
+                    break
                 else:
-                    parts.append(kid)
-            if not parts:
-                return mask
-            if mask:
-                parts.append(self.place(mask))
-            first = last = 0
-            for _, f, l, _ in parts:
-                first |= f
-                last |= l
-            return _lowest(parts), first, last, any(p[3] for p in parts)
-        parts = [self.place(kid) for kid in kids]
-        if isinstance(node, Concat):
-            first = last = 0
-            nullable = True
-            for _, f, l, n in parts:
-                self.link(last, f)
-                if nullable:
-                    first |= f
-                last = l | last if n else l
-                nullable = nullable and n
-            return _lowest(parts), first, last, nullable
-        if isinstance(node, Inter):
-            return self.product(parts)
-        if isinstance(node, (Star, Plus, Opt)):
-            lo, first, last, nullable = parts[0]
-            if not isinstance(node, Opt):
-                self.link(last, first)
-            return lo, first, last, nullable or not isinstance(node, Plus)
-        raise TypeError(f"unknown node {node!r}")
+                    raise TypeError(f"unknown node {child!r}")
+            else:
+                frames.pop()
+                if kind is Union:
+                    mask = reduce(or_, [kid for kid in kids if kid.__class__ is int], 0)
+                    placed = [kid for kid in kids if kid.__class__ is not int]
+                    if not placed:
+                        frames[-1][2].append(mask)
+                        continue
+                    kids = placed + [mask] if mask else placed
+                # Pending classes become positions, in the order of the parts.
+                for i, kid in enumerate(kids):
+                    if kid.__class__ is int:
+                        q = len(classes)
+                        classes.append(kid)
+                        follow.append(0)
+                        kids[i] = 1 << q, 1 << q, False
+                if kind is Concat:
+                    first, last, nullable = 0, 0, True
+                    for f, l, n in kids:
+                        if f:
+                            bits = last
+                            while bits:
+                                low = bits & -bits
+                                follow[low.bit_length() - 1] |= f
+                                bits ^= low
+                        if nullable:
+                            first |= f
+                        last = l | last if n else l
+                        nullable = nullable and n
+                    value = first, last, nullable
+                elif kind is Union:
+                    first, last, nullable = 0, 0, False
+                    for f, l, n in kids:
+                        first |= f
+                        last |= l
+                        nullable = nullable or n
+                    value = first, last, nullable
+                elif kind is Inter:
+                    value = self.product(base, kids)
+                else:
+                    ((first, last, nullable),) = kids
+                    if kind is not Opt and first:
+                        bits = last
+                        while bits:
+                            low = bits & -bits
+                            follow[low.bit_length() - 1] |= first
+                            bits ^= low
+                    value = first, last, nullable or kind is not Plus
+                if not frames:
+                    break
+                frames[-1][2].append(value)
+        first, last, nullable = value
+        while last:
+            low = last & -last
+            follow[low.bit_length() - 1] |= 1
+            last ^= low
+        return first | nullable, classes, follow
 
-    def product(self, parts: Sequence[Fragment]) -> Fragment:
-        """Replace the parts' positions, the last ones made, by the
-        reachable product of their futures, trimmed to the positions
-        that can still end it.
+    def product(self, lo: int, parts: Sequence[Fragment]) -> Fragment:
+        """Replace the parts' positions, from ``lo`` up to the last one
+        made, by the reachable product of their futures, trimmed to the
+        positions that can still end it.
 
         A component is a distinct future of a part's position, its
         follow set and whether it ends the part, interned to a small
@@ -484,10 +490,9 @@ class _Positions:
         the set its tuple enters, and it ends the product when every
         component of its tuple ends its part.
         """
-        nullable = all(p[3] for p in parts)
-        lo = _lowest(parts)
-        if lo is None:
-            return None, 0, 0, nullable
+        nullable = all(p[2] for p in parts)
+        if lo == len(self.classes):
+            return 0, 0, nullable
         start, moves, ends = self._components(lo, parts)
         classes, follow = self.classes, self.follow
         index = {start: 0}
@@ -530,7 +535,7 @@ class _Positions:
                 new[p] = len(classes)
                 classes.append(m)
         if not new:
-            return None, 0, 0, nullable
+            return 0, 0, nullable
         # A tuple enters each of its positions once, so a sum is an OR.
         enters = [sum(1 << new[p] for p in out if p in new) for out in succ]
         last = 0
@@ -539,7 +544,7 @@ class _Positions:
             follow.append(enters[t])
             if ending[t]:
                 last |= 1 << q
-        return lo, enters[0], last, nullable
+        return enters[0], last, nullable
 
     def _components(self, lo: int, parts: Sequence[Fragment]) -> tuple[
             tuple[int, ...], list[list[tuple[int, int]]], list[bool]]:
@@ -552,9 +557,9 @@ class _Positions:
         product keys on component ids only.
         """
         classes, follow = self.classes, self.follow
-        ends_at = {q for _, _, last, _ in parts for q in _bits(last)}
+        ends_at = {q for _, last, _ in parts for q in _bits(last)}
         keys = [(follow[q], q in ends_at) for q in range(lo, len(classes))]
-        keys += [(first, n) for _, first, _, n in parts]
+        keys += [(first, n) for first, _, n in parts]
         ids: dict[tuple[int, bool], int] = {}
         comp = [ids.setdefault(key, len(ids)) for key in keys]
         moves: list[list[tuple[int, int]]] = []
@@ -570,36 +575,34 @@ class _Positions:
         return tuple(comp[len(keys) - len(parts):]), moves, ends
 
 
-def _flat(node: Node, alphabet: Alphabet) -> Nfa:
-    b = _Positions()
-    # Unshared: every occurrence of a repeated subtree needs its own positions.
-    _, first, last, nullable = b.place(_fold(node, b.fragment, shared=False))
-    for q in _bits(last):
-        b.follow[q] |= 1
-    return Nfa(alphabet, first | nullable, b.classes, b.follow)
-
-
-def compile_regex(r: Regex) -> Automaton:
+def compile_regex(r: Regex) -> Nfa:
     """Compile to an automaton with the same language.
 
-    An intersection at the root becomes a ``ProductAuto`` of its parts,
-    each compiled flat; everything else, nested intersections included,
-    compiles to one flat ``Nfa``, where each intersection becomes the
-    reachable product of its parts' positions.  That product stays
-    polynomial in the operand sizes: at most one position per class and
-    tuple of the parts' components.  A union of intersections is
-    therefore flat; write it as an intersection of unions, as
-    ``squarify_col_expr`` does, to keep its parts implicit.
+    Each operand of an intersection at the root, or the whole tree
+    otherwise, compiles to its own position table, each nested
+    intersection the reachable product of its parts' positions: at most
+    one position per class and tuple of the parts' components.  The
+    tables are packed side by side into one ``Nfa``, each shifted past
+    the ones before it.  A union of intersections is one operand; write
+    it as an intersection of unions, as ``squarify_col_expr`` does, to
+    keep its parts implicit.
     """
-    node, alphabet = r.node, r.alphabet
-    if isinstance(node, Inter):
-        return ProductAuto(tuple(_flat(p, alphabet) for p in node.parts))
-    return _flat(node, alphabet)
+    node = r.node
+    start = ends = 0
+    classes, follow = [], []
+    for part in node.parts if node.__class__ is Inter else (node,):
+        s, cls, nxt = _Positions().table(part)
+        at = len(classes)
+        start |= s << at
+        ends |= 1 << at
+        classes += cls
+        follow += [f << at for f in nxt] if at else nxt
+    return Nfa(r.alphabet, start, classes, follow, ends)
 
 
 # --- queries -------------------------------------------------------------------
 
-def matches(auto: Automaton, w) -> bool:
+def matches(auto: Nfa, w) -> bool:
     """True iff the word (string or symbol sequence) is accepted."""
     s = auto.start_set()
     for sym in symbols(auto.alphabet, w):
@@ -609,7 +612,7 @@ def matches(auto: Automaton, w) -> bool:
     return auto.accepts(s)
 
 
-def step(auto: Automaton, states, sym: TUnion[Symbol, str, int]):
+def step(auto: Nfa, states, sym: TUnion[Symbol, str, int]):
     """One step of a state set on a symbol."""
     if isinstance(sym, Symbol):
         sym_id = auto.alphabet.symbol(sym.token).id
@@ -623,18 +626,18 @@ def step(auto: Automaton, states, sym: TUnion[Symbol, str, int]):
 def is_empty(r: Regex) -> bool:
     """True iff ``r`` matches no word at all.
 
-    ``r`` compiles to one flat automaton, a root intersection included,
-    so every intersection in it is the exact product of its parts'
+    ``r`` compiles as one operand, a root intersection included, so
+    every intersection in it is the exact product of its parts'
     positions, trimmed to the positions that can still end it; the
     language is then empty iff the start set cannot reach acceptance.
     The price of that one bit is the whole trimmed product: the build
     does not stop at the first ending tuple.
     """
-    auto = _flat(r.node, r.alphabet)
+    auto = Nfa(r.alphabet, *_Positions().table(r.node))
     return not auto.feasible(auto.start_set(), None)
 
 
-def enumerate_language(auto: Automaton, max_len: int) -> list[str]:
+def enumerate_language(auto: Nfa, max_len: int) -> list[str]:
     """All accepted words up to ``max_len``, shortest first, then by symbol id.
 
     Words are returned as concatenated tokens.  Each length is walked

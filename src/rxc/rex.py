@@ -356,16 +356,14 @@ def symbols(alphabet: Alphabet, w: TUnion[str, Sequence[TUnion[str, Symbol]]]) -
 T = TypeVar("T")
 
 
-def _fold(root: Node, visit: Callable[[Node, Sequence[T]], T], shared: bool = True) -> T:
+def _fold(root: Node, visit: Callable[[Node, Sequence[T]], T]) -> T:
     """Fold the tree under ``root`` bottom-up, on an explicit stack.
 
     ``visit(node, kids)`` gets the values of the node's children, in
     order, and returns the node's value; no walk recurses, however deep
-    the tree.  With ``shared``, an inner node met again (the same
-    object: the constructors, ``apply_homomorphism`` and the reductions
-    reuse subtrees) is visited once and its value reused.  Without it
-    every occurrence is visited and no value is kept once its parent
-    has it, for walks that must not share a value or need not keep one.
+    the tree.  An inner node met again (the same object: the
+    constructors, ``apply_homomorphism`` and the reductions reuse
+    subtrees) is visited once and its value reused.
     """
     memo: dict[int, T] = {}
     out: list[T] = []
@@ -378,7 +376,7 @@ def _fold(root: Node, visit: Callable[[Node, Sequence[T]], T], shared: bool = Tr
         for child in todo:
             if not isinstance(child, _INNER):
                 kids.append(visit(child, ()))
-            elif shared and id(child) in memo:
+            elif id(child) in memo:
                 kids.append(memo[id(child)])
             else:
                 parts = child.parts if isinstance(child, _NARY) else (child.body,)
@@ -387,9 +385,7 @@ def _fold(root: Node, visit: Callable[[Node, Sequence[T]], T], shared: bool = Tr
         else:
             frames.pop()
             if frames:
-                value = visit(node, kids)
-                if shared:
-                    memo[id(node)] = value
+                value = memo[id(node)] = visit(node, kids)
                 frames[-1][2].append(value)
     return out[0]
 

@@ -56,14 +56,14 @@ from .grids import Grid
 from .puzzle import Puzzle
 from .records import record
 from .rex import Regex, inter, is_positive, lit, plus, single_symbols, union_
-from .nfa import Automaton, ViableSymbols, compile_regex, is_empty, matches
+from .nfa import Nfa, ViableSymbols, compile_regex, is_empty, matches
 
 
 class DimensionError(ValueError):
     pass
 
 
-def _compiled(exprs: Sequence[Regex], cache: dict[int, Automaton]) -> list[Automaton]:
+def _compiled(exprs: Sequence[Regex], cache: dict[int, Nfa]) -> list[Nfa]:
     out = []
     for e in exprs:
         auto = cache.get(id(e))
@@ -86,7 +86,7 @@ def verify(puzzle: Puzzle, grid: Grid) -> bool:
     if not grid.alphabet.compatible(puzzle.alphabet):
         raise DimensionError("grid alphabet differs from puzzle alphabet")
     _check_fixed(puzzle, grid.m, grid.n, "grid has")
-    cache: dict[int, Automaton] = {}
+    cache: dict[int, Nfa] = {}
     rows = _compiled(puzzle.row_exprs(grid.m), cache)
     cols = _compiled(puzzle.col_exprs(grid.n), cache)
     for i, auto in enumerate(rows):
@@ -98,7 +98,7 @@ def verify(puzzle: Puzzle, grid: Grid) -> bool:
     return True
 
 
-def _tables(autos: Sequence[Automaton]) -> list[ViableSymbols]:
+def _tables(autos: Sequence[Nfa]) -> list[ViableSymbols]:
     """One viable-symbol table per automaton, shared by its repeats, so
     an (E,E) grid's rows and columns read one table."""
     tables: dict[int, ViableSymbols] = {}
@@ -108,7 +108,7 @@ def _tables(autos: Sequence[Automaton]) -> list[ViableSymbols]:
     return [tables[id(a)] for a in autos]
 
 
-def _fill(row_autos: Sequence[Automaton], col_autos: Sequence[Automaton],
+def _fill(row_autos: Sequence[Nfa], col_autos: Sequence[Nfa],
           ) -> Iterator[list[int]]:
     """Yield every filling of an m x n grid, in row-major lexicographic order.
 
@@ -245,7 +245,7 @@ def _fillings(puzzle: Puzzle, m: int, n: int) -> Iterator[list[int]]:
     if m < 1 or n < 1:
         raise DimensionError("dimensions must be positive")
     _check_fixed(puzzle, m, n, "asked for")
-    cache: dict[int, Automaton] = {}
+    cache: dict[int, Nfa] = {}
     row_autos = _compiled(puzzle.row_exprs(m), cache)
     col_autos = _compiled(puzzle.col_exprs(n), cache)
     return _fill(row_autos, col_autos)
@@ -286,7 +286,7 @@ def is_plural(row_expr: Regex, col_expr: Regex) -> bool:
     A 1 x n solution exists iff the row language meets ``A1+``, where
     ``A1`` holds the symbols that match the column expression as a
     length-1 string (and symmetrically for n x 1), so each check is the
-    emptiness of one intersection, decided on its flat product
+    emptiness of one intersection, decided on its exact product
     (``nfa.is_empty``).  Length-1 membership of every symbol at once is
     one fold over the tree (``single_symbols``), and a line that matches
     no single symbol needs no automaton at all, which keeps this cheap
@@ -327,7 +327,7 @@ def decide_unbounded_width(rows: Sequence[Regex], col_expr: Regex) -> WidthResul
     alphabet = rows[0].alphabet
     if not all(e.alphabet.compatible(alphabet) for e in (*rows, col_expr)):
         raise DimensionError("rows and column use different alphabets")
-    cache: dict[int, Automaton] = {}
+    cache: dict[int, Nfa] = {}
     row_autos = _compiled(rows, cache)
     (col_auto,) = _compiled([col_expr], cache)
     m = len(rows)

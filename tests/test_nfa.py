@@ -7,7 +7,6 @@ import pytest
 
 from rxc.nfa import (
     Nfa,
-    ProductAuto,
     ViableSymbols,
     compile_regex,
     enumerate_language,
@@ -30,7 +29,17 @@ from rxc.rex import (
     word,
 )
 
-from util import AB, ABC, all_words, deep_api_tree, flat_automaton, random_regex, record_steps
+from util import (
+    AB,
+    ABC,
+    all_words,
+    deep_api_tree,
+    flat_automaton,
+    operand_tables,
+    random_regex,
+    record_steps,
+    unpacked,
+)
 
 
 def test_matches_examples():
@@ -57,6 +66,21 @@ def test_nfa_rejects_out_of_range_start():
     ]:
         with pytest.raises(ValueError, match=what):
             Nfa(AB, start, classes, follow)
+
+
+def test_negative_symbol_counts_are_refused():
+    # Read from the end, the list of reach layers would answer -1 with
+    # the longest count asked so far: True here once 3 has been asked.
+    for ask_first in (False, True):
+        auto = compile_regex(parse("000", AB))
+        start = auto.start_set()
+        if ask_first:
+            assert auto.feasible(start, 3) and not auto.feasible(start, 2)
+        for steps in (-1, -3):
+            with pytest.raises(ValueError, match="negative"):
+                auto.feasible(start, steps)
+            with pytest.raises(ValueError, match="negative"):
+                auto.reach_in(steps)
 
 
 def test_compile_union_small():
@@ -204,8 +228,8 @@ def test_sets_hold_only_reading_or_accepting_states():
 
 
 def test_compile_rule_on_random_trees():
-    # Only an intersection at the root makes a product, and each of its
-    # parts compiles flat; all else compiles to one flat automaton.
+    # Only an intersection at the root packs more than one operand, each
+    # its part compiled alone; all else compiles to one operand.
     rng = random.Random(5)
     kinds = set()
     empties = set()
@@ -213,11 +237,11 @@ def test_compile_rule_on_random_trees():
         alphabet = (AB, ABC)[k % 2]
         r = random_regex(rng, alphabet, depth=4)
         auto = compile_regex(r)
-        kinds.add(type(auto))
+        assert isinstance(auto, Nfa)
+        kinds.add(len(auto.ranges) > 1)
+        assert unpacked(auto) == operand_tables(r)
         if not isinstance(r.node, Inter):
-            assert isinstance(auto, Nfa)
-        if isinstance(auto, ProductAuto):
-            assert all(isinstance(part, Nfa) for part in auto.children)
+            assert auto.ranges == ((1 << auto.state_count) - 1,) and auto.ends == 1
         # A short word that the reference matcher accepts rules out
         # emptiness.
         empty = is_empty(r)
@@ -225,7 +249,7 @@ def test_compile_rule_on_random_trees():
         if empty:
             for n in range(7):
                 assert not any(regex_matches(r, w) for w in all_words(alphabet, n)), format_regex(r)
-    assert kinds == {Nfa, ProductAuto}
+    assert kinds == {False, True}
     assert empties == {True, False}
 
 
@@ -314,7 +338,8 @@ def test_line_supports_look_back_from_acceptance():
 
 def test_line_supports_match_brute_force():
     # Per cell, the symbols of its mask that some accepted word reading
-    # every cell within its mask uses; flat automata and root products.
+    # every cell within its mask uses; single operands and packed root
+    # intersections.
     rng = random.Random(16)
     for _ in range(150):
         auto = compile_regex(random_regex(rng, AB, depth=3))

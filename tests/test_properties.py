@@ -5,7 +5,8 @@ closure or a concatenation, the printer against the parser, and the cell
 search against the brute-force oracle on puzzles with a separate random
 expression for every row and column; the one-symbol words of a tree
 against ``regex_matches``; the read masks of the automata
-against their steps; the steps, read masks and feasibility of random
+against their steps; the queries on a packed root intersection against
+its operands' own automata; the steps, read masks and feasibility of random
 ``Nfa`` position tables against a naive stepper; and the viable-symbol
 tables against direct steps."""
 
@@ -30,7 +31,10 @@ from rxc.rex import (
     Star,
     Union,
     UnknownSymbolError,
+    concat,
+    epsilon,
     format_regex,
+    inter,
     parse,
     regex_matches,
     single_symbols,
@@ -218,13 +222,6 @@ def test_parse_fuzz(text):
     assert parse(format_regex(r), FUZZ_ALPHABET) == r
 
 
-def _parts(auto):
-    """The automaton and, for a composite, every automaton inside it."""
-    yield auto
-    for child in getattr(auto, "children", ()):
-        yield from _parts(child)
-
-
 def _sets_within(auto, steps):
     """Every state set reached from the start in at most ``steps`` steps."""
     seen = frontier = {auto.start_set()}
@@ -240,20 +237,24 @@ def test_unreadable_symbols_step_to_dead_sets(case):
     r, _ = case
     intersection_free = "&" not in format_regex(r)
     syms = range(len(r.alphabet))
-    for auto in _parts(compile_regex(r)):
-        for states in _sets_within(auto, 4):
-            readable = auto.readable(states)
-            assert all(auto.is_dead(auto.step(states, a)) for a in syms if not readable >> a & 1)
-            if isinstance(auto, Nfa):
-                # Exact on a flat automaton: the symbols that enter its
-                # positions, and without intersections none of them is dead.
-                classes = 0
-                for q, cls in enumerate(auto.classes):
-                    if states >> q & 1:
-                        classes |= cls
-                assert readable == classes
-                if intersection_free:
-                    assert not any(auto.is_dead(auto.step(states, a)) for a in syms if readable >> a & 1)
+    auto = compile_regex(r)
+    for states in _sets_within(auto, 4):
+        readable = auto.readable(states)
+        assert all(auto.is_dead(auto.step(states, a)) for a in syms if not readable >> a & 1)
+        # Exact on each range: the symbols that enter its positions in
+        # the set, and a symbol no position of a range reads empties it.
+        exact = -1
+        for own in auto.ranges:
+            classes = 0
+            for q, cls in enumerate(auto.classes):
+                if (states & own) >> q & 1:
+                    classes |= cls
+            exact &= classes
+            assert all(not auto.step(states, a) & own for a in syms if not classes >> a & 1)
+        assert readable == exact
+        if intersection_free:
+            # Without intersections no symbol read leads to a dead set.
+            assert not any(auto.is_dead(auto.step(states, a)) for a in syms if readable >> a & 1)
     # An explicit product keeps only states that can accept, so no symbol
     # it reads is dead: checked on each implicit product made explicit.
     for node in r.node.parts if isinstance(r.node, Union) else (r.node,):
@@ -262,6 +263,54 @@ def test_unreadable_symbols_step_to_dead_sets(case):
             for states in _sets_within(flat, 4):
                 readable = flat.readable(states)
                 assert not any(flat.is_dead(flat.step(states, a)) for a in syms if readable >> a & 1)
+
+
+@st.composite
+def root_intersections(draw):
+    """A random intersection of 2 to 4 operands at the root, over AB or
+    ABC; an operand whose own root is an intersection is followed by
+    epsilon, so the root keeps exactly the operands drawn."""
+    alphabet = draw(st.sampled_from([AB, ABC]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    parts = []
+    for _ in range(draw(st.integers(2, 4))):
+        part = random_regex(rng, alphabet, depth=3)
+        if isinstance(part.node, Inter):
+            part = concat([part, epsilon(alphabet)])
+        parts.append(part)
+    return inter(parts)
+
+
+@SETTINGS
+@given(root_intersections())
+def test_packed_operands_agree_with_their_own_automata(r):
+    # Each operand steps in its own range of the packed table; every
+    # query on a packed set is the conjunction of the same query on the
+    # operands' own automata, stepped on the same word.
+    auto = compile_regex(r)
+    alone = [compile_regex(Regex(p, r.alphabet)) for p in r.node.parts]
+    assert len(auto.ranges) == len(alone) == len(r.node.parts)
+    at = [(own & -own).bit_length() - 1 for own in auto.ranges]
+    syms = range(len(r.alphabet))
+    start = (auto.start_set(), tuple(a.start_set() for a in alone))
+    seen = frontier = {start}
+    for _ in range(4):
+        frontier = {(auto.step(s, a), tuple(o.step(x, a) for o, x in zip(alone, xs)))
+                    for s, xs in frontier for a in syms} - seen
+        seen = seen | frontier
+    for states, parts in seen:
+        assert states == sum(x << k for x, k in zip(parts, at))
+        assert auto.accepts(states) == all(o.accepts(x) for o, x in zip(alone, parts))
+        assert auto.is_dead(states) == any(o.is_dead(x) for o, x in zip(alone, parts))
+        readable = -1
+        for o, x in zip(alone, parts):
+            readable &= o.readable(x)
+        assert auto.readable(states) == readable
+        for k in (0, 1, 2, 3, 4, None):
+            assert auto.feasible(states, k) == all(o.feasible(x, k) for o, x in zip(alone, parts)), k
+    for n in range(7):
+        for w in all_words(r.alphabet, n):
+            assert matches(auto, w) == regex_matches(r, w), w
 
 
 @SETTINGS

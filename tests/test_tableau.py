@@ -4,7 +4,7 @@ import pytest
 
 from rxc.machines import bouncing_machine, demo_machine, overwriting_machine, zigzag_machine
 from rxc.markers import marker_alphabet
-from rxc.nfa import Nfa, ProductAuto, compile_regex, enumerate_language, matches
+from rxc.nfa import compile_regex, enumerate_language, matches
 from rxc.puzzle import uniform_puzzle
 from rxc.reductions import (
     AssumptionError,
@@ -19,7 +19,7 @@ from rxc.rex import format_regex, is_positive, lit, plus, union_
 from rxc.solver import enumerate_grids, is_plural, verify
 from rxc.turing import TuringMachine, build_tableau, simulate
 
-from util import flat_automaton
+from util import flat_automaton, operand_tables, unpacked
 
 
 def test_marker_alphabet_size_and_classes():
@@ -142,13 +142,14 @@ def test_squarified_padding_verifies():
                                   bouncing_machine])
 def test_squarified_column_is_the_union_with_blank_columns(make):
     # The column is written (S | B) & (W | B); it must accept exactly
-    # (S & W) | B, here compiled to one flat automaton.
+    # (S & W) | B, here compiled as one operand.
     m = make()
     mk = marker_alphabet(m)
     col = column_expression(m, mk)
-    square = compile_regex(squarify_col_expr(col, m))
-    assert isinstance(square, ProductAuto)
-    assert all(isinstance(part, Nfa) for part in square.children)
+    squared = squarify_col_expr(col, m)
+    square = compile_regex(squared)
+    assert len(square.ranges) == 2
+    assert unpacked(square) == operand_tables(squared)
     union = flat_automaton(union_([col, plus(lit(mk.alphabet, "[B]"))]))
     assert enumerate_language(square, 6) == enumerate_language(union, 6)
 

@@ -13,6 +13,7 @@ from rxc.oracle import CnfFormula, GraphInstance
 from rxc.puzzle import Puzzle, uniform_puzzle
 from rxc.rex import (
     Alphabet,
+    Inter,
     Regex,
     concat,
     epsilon,
@@ -69,13 +70,33 @@ def deep_api_tree(levels: int) -> Regex:
 
 
 def flat_automaton(r: Regex) -> Nfa:
-    """``r`` compiled to one flat automaton: followed by epsilon, no
+    """``r`` compiled to one operand: followed by epsilon, no
     intersection sits at the root, so each becomes a product of its
     parts' positions."""
     auto = compile_regex(concat([r, epsilon(r.alphabet)]))
-    if not isinstance(auto, Nfa):
-        raise TypeError(f"expected a flat automaton, got {type(auto).__name__}")
+    if len(auto.ranges) != 1:
+        raise TypeError(f"expected one operand, got {len(auto.ranges)} ranges")
     return auto
+
+
+def unpacked(auto: Nfa) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Per range of ``auto``: its start set, classes and follow sets,
+    shifted down so that its end bit is bit 0."""
+    out = []
+    for own in auto.ranges:
+        at, hi = (own & -own).bit_length() - 1, own.bit_length()
+        out.append(((auto.start & own) >> at, auto.classes[at:hi],
+                    tuple(f >> at for f in auto.follow[at:hi])))
+    return out
+
+
+def operand_tables(r: Regex) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Per operand of ``r``'s root intersection (``r`` itself when its
+    root is none): its start set, classes and follow sets compiled
+    alone."""
+    parts = r.node.parts if isinstance(r.node, Inter) else (r.node,)
+    alone = [compile_regex(Regex(p, r.alphabet)) for p in parts]
+    return [(a.start, a.classes, a.follow) for a in alone]
 
 
 def record_steps(monkeypatch) -> list[tuple[int, object, int]]:
